@@ -140,17 +140,26 @@ def improvement_interval_defect1(q: int) -> tuple[int, int]:
     return (q * q + q + 2, q**4 // (4 * q - 2))
 
 
+def _integer_root(x: int, e: int) -> int:
+    """Largest r >= 0 with r**e <= x, by Newton's method on integers."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // e)  # 2**ceil(bits/e), at least the root
+    while True:
+        smaller = ((e - 1) * r + x // r ** (e - 1)) // e
+        if smaller >= r:
+            return r
+        r = smaller
+
+
 def _largest_length(q: int, d: int, denominator_scale: int) -> int:
-    """Largest n with (denominator_scale * n)**(d-2) * sum_modulus <= q**d."""
+    """Largest n with (denominator_scale * n)**(d-2) * sum_modulus <= q**d.
+
+    For integers a * m0 <= L exactly when a <= L // m0, so the answer is an
+    integer root, with no float on the way.
+    """
     m0 = (d - 1) * (q - 1) + 1
-    limit = q**d
-    e = d - 2
-    guess = max(int((limit / m0) ** (1.0 / e)) // denominator_scale, 1)
-    while ((guess + 1) * denominator_scale) ** e * m0 <= limit:
-        guess += 1
-    while guess > 0 and (guess * denominator_scale) ** e * m0 > limit:
-        guess -= 1
-    return guess
+    return _integer_root(q**d // m0, d - 2) // denominator_scale
 
 
 def admissible_prime_lengths(

@@ -14,6 +14,9 @@ comma-separated residue vector ("b0,b1,...").
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,7 +28,9 @@ DEFAULT_ENUMERATION_BUDGET = 1 << 24
 ERASURE_MARK = "?"
 
 # Below this length the plain-int loops beat the cost of building arrays.
-_VECTOR_MIN_LENGTH = 1024
+_VECTOR_MIN_LENGTH = 64
+# Marks an erased position in the int64 form of a word.
+_ERASED = -1
 
 Word = tuple
 Offset = tuple
@@ -126,16 +131,119 @@ def format_offset(offset: Offset) -> str:
     return ",".join(str(v) for v in offset)
 
 
-def validate_word(word: Word, spec: CodeSpec, *, allow_erasures: bool = False) -> None:
+def validate_word(
+    word: Word, spec: CodeSpec, *, allow_erasures: bool = False
+) -> np.ndarray | None:
+    """Check the length and the symbols of a word; raise ValueError if bad.
+
+    A word is a tuple, list, ``bytes`` or ``ndarray`` of integers in
+    [0, q-1], with None at erased positions where ``allow_erasures``.  From
+    n = 64 on, and for every ``ndarray``, the word is converted once and
+    returned as an int64 array, erased positions holding -1, for the
+    vectorised syndrome kernel.  Below that None is returned and the
+    plain-int loops take the word as it is; so they do for symbols beyond
+    int64, which only q > 2**63 admits.
+    """
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != n={spec.n}")
+    q = spec.q
+    if spec.n >= _VECTOR_MIN_LENGTH or isinstance(word, np.ndarray):
+        converted = _as_int64(word, q, allow_erasures)
+        if converted is not None:
+            arr, erased = converted
+            if arr.min() >= 0 and arr.max() < q:
+                if erased:
+                    arr[erased] = _ERASED
+                return arr
+    else:
+        for s in word:
+            if (type(s) is int and 0 <= s < q) or (s is None and allow_erasures):
+                continue
+            break
+        else:
+            return None
+    # The first bad position, named.  Only numpy integer symbols and, on
+    # the vector path, symbols beyond int64 (so q > 2**63) pass this loop.
     for i, s in enumerate(word, start=1):
+        if type(s) is int and 0 <= s < q:
+            continue
         if s is None:
             if not allow_erasures:
                 raise ValueError(f"erased symbol at position {i} not allowed here")
             continue
-        if not 0 <= s < spec.q:
-            raise ValueError(f"symbol {s} at position {i} outside [0, {spec.q - 1}]")
+        try:
+            value = operator.index(s)
+        except TypeError:
+            raise ValueError(f"symbol {s!r} at position {i} is not an integer") from None
+        if not 0 <= value < q:
+            raise ValueError(f"symbol {s} at position {i} outside [0, {q - 1}]")
+    return None
+
+
+def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, list[int]] | None:
+    """The word as an int64 array, erased positions 0, with those positions.
+
+    None when a symbol is not an integer that fits the conversion, or is an
+    erasure where none is allowed.  A one-dimensional integer ``ndarray``
+    may come back as itself; it has no erasures, so callers never write
+    into it.
+    """
+    if isinstance(word, np.ndarray):
+        if word.ndim == 1 and word.dtype.kind in "iu":
+            return word.astype(np.int64, copy=False), []
+        word = word.tolist()
+    elif isinstance(word, (bytes, bytearray)):
+        return np.frombuffer(word, dtype=np.uint8).astype(np.int64), []
+    try:
+        return _packed(word, q), []
+    except (ValueError, OverflowError):
+        return None
+    except TypeError:
+        if not allow_erasures:
+            return None
+    filled = list(word)
+    erased: list[int] = []
+    try:
+        while True:
+            erased.append(filled.index(None, erased[-1] + 1 if erased else 0))
+            filled[erased[-1]] = 0
+    except ValueError:
+        pass
+    try:
+        return _packed(filled, q), erased
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _packed(symbols, q: int) -> np.ndarray:
+    """Integer symbols as a new int64 array, through a typed buffer.
+
+    ``bytes`` and ``array("q")`` take only integers (through __index__) and
+    raise TypeError on anything else, so floats are never truncated.  Bytes
+    convert about three times faster and hold every symbol when q <= 256;
+    out of their range they raise ValueError, as array("q") raises
+    OverflowError beyond int64.
+    """
+    if q <= 256:
+        return np.frombuffer(bytes(symbols), dtype=np.uint8).astype(np.int64)
+    return np.frombuffer(array("q", symbols), dtype=np.int64)
+
+
+def _as_tuple(word: Word, arr: np.ndarray | None = None, changed=()) -> Word:
+    """A validated word as a tuple, the 1-based ``changed`` positions read
+    from its int64 form ``arr``.
+
+    A sequence input is copied and patched, which is faster than converting
+    the whole array back; an ``ndarray`` input is converted to Python ints.
+    """
+    if isinstance(word, np.ndarray):
+        return tuple((word if arr is None else arr).tolist())
+    if not changed:
+        return tuple(word)
+    out = list(word)
+    for k in changed:
+        out[k - 1] = int(arr[k - 1])
+    return tuple(out)
 
 
 def validate_offset(offset: Offset, spec: CodeSpec) -> None:
@@ -171,7 +279,7 @@ def checksum(word: Word, j: int) -> int:
 
 @lru_cache(maxsize=128)
 def _position_powers(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
-    """Rows j = 1 .. d-2 of i**j mod power_modulus, for small-n loops."""
+    """Rows j = 1 .. d-2 of i**j mod power_modulus, for the plain-int loops."""
     p = spec.power_modulus
     rows = []
     prev = tuple(i % p for i in range(1, spec.n + 1))
@@ -181,25 +289,98 @@ def _position_powers(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _masked_sums(word: Word, spec: CodeSpec) -> tuple[int, tuple[int, ...]]:
+@lru_cache(maxsize=8)
+def _power_tables(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, tuple] | None:
+    """Factors of the table i**j mod p, for i = 0 .. n and j = 0 .. d-2.
+
+    Writing i = b*w + r with w = isqrt(n) + 1 and 0 <= r < w,
+    (b*w + r)**j = sum_k binom(j, k) * (b*w)**(j-k) * r**k.  So the
+    n-by-(d-1) table is never stored: ``low[r, k]`` = r**k and
+    ``high[b, m]`` = (b*w)**m, both mod p, hold about 2*sqrt(n)*(d-1)
+    entries, and ``binom[j, k]`` = binom(j, k) mod p joins them.  None
+    when an int64 product of a word with these tables, or of the tables
+    with each other, could overflow; the exact plain-int loops serve
+    those specs.
+    """
+    p, q, n, k = spec.power_modulus, spec.q, spec.n, spec.d - 1
+    width = math.isqrt(n) + 1
+    blocks = -(-(n + 1) // width)
+    if max(width * (q - 1), blocks * (p - 1), k * (p - 1)) * (p - 1) >= 1 << 63:
+        return None
+    low = _column_powers(np.arange(width), k, p)
+    high = _column_powers(np.arange(blocks) * width, k, p)
+    binom = tuple(tuple(math.comb(j, i) % p for i in range(k)) for j in range(k))
+    return low, high, binom
+
+
+def _column_powers(base: np.ndarray, count: int, p: int) -> np.ndarray:
+    """Columns base**0 .. base**(count-1) mod p, as int64."""
+    out = np.empty((len(base), count), dtype=np.int64)
+    col = np.ones(len(base), dtype=np.int64)
+    base = base.astype(np.int64) % p
+    for m in range(count):
+        out[:, m] = col
+        col = col * base % p
+    return out
+
+
+def _weighted_sums(arr: np.ndarray, spec: CodeSpec, tables) -> tuple[int, ...]:
+    """sum_i i**j * arr[i-1] mod p for j = 1 .. d-2, through the factored tables."""
+    low, high, binom = tables
+    p = spec.power_modulus
+    # Position i sits at row i // w, column i % w.
+    blocked = np.zeros(high.shape[0] * low.shape[0], dtype=np.int64)
+    blocked[1 : spec.n + 1] = arr
+    by_low = blocked.reshape(high.shape[0], -1) @ low % p  # [b, k]: sum_r r**k x_(b*w+r)
+    moments = (high.T @ by_low % p).tolist()  # [m, k]: sum_b (b*w)**m by_low[b, k]
+    return tuple(
+        sum(binom[j][k] * moments[j - k][k] for k in range(j + 1)) % p
+        for j in range(1, spec.d - 1)
+    )
+
+
+def _evaluate_at_positions(coeffs: list[int], spec: CodeSpec) -> np.ndarray | None:
+    """The polynomial with ascending ``coeffs`` at i = 1 .. n, mod p.
+
+    Uses the factored power tables: at i = b*w + r the value is
+    sum_k r**k * sum_m binom(m+k, k) * coeffs[m+k] * (b*w)**m.  None below
+    n = 64, where a plain-int scan is faster, and when the tables do not
+    exist or the degree exceeds d-2.
+    """
+    if spec.n < _VECTOR_MIN_LENGTH or len(coeffs) > spec.d - 1:
+        return None
+    tables = _power_tables(spec)
+    if tables is None:
+        return None
+    low, high, binom = tables
+    p = spec.power_modulus
+    size = len(coeffs)
+    shifted = np.zeros((size, size), dtype=np.int64)  # [m, k]
+    for m in range(size):
+        for k in range(size - m):
+            shifted[m, k] = binom[m + k][k] * (coeffs[m + k] % p) % p
+    by_block = high[:, :size] @ shifted % p
+    values = (by_block @ low[:, :size].T).reshape(-1)[1 : spec.n + 1]
+    values %= p
+    return values
+
+
+def _masked_sums(
+    word: Word, spec: CodeSpec, arr: np.ndarray | None = None
+) -> tuple[int, tuple[int, ...]]:
     """(exact plain sum, weighted sums mod power_modulus), None counting as 0.
 
     Feeding erased positions as zeros makes this directly usable both for
-    full words and for the kept part of a partially erased word.
+    full words and for the kept part of a partially erased word.  ``arr`` is
+    the int64 form from validate_word, with erased positions set to 0; with
+    it the weighted sums go through the factored power tables.
     """
     p = spec.power_modulus
-    if spec.n >= _VECTOR_MIN_LENGTH:
-        arr = np.fromiter(
-            (0 if s is None else s for s in word), dtype=np.int64, count=spec.n
-        )
-        idx = np.arange(1, spec.n + 1, dtype=np.int64)
-        plain = int(arr.sum())
-        out = []
-        pw = idx % p
-        for _ in range(1, spec.d - 1):
-            out.append(int(((pw * arr) % p).sum() % p))
-            pw = (pw * idx) % p
-        return plain, tuple(out)
+    if arr is not None:
+        tables = _power_tables(spec)
+        if tables is not None:
+            return int(arr.sum()), _weighted_sums(arr, spec, tables)
+        word = arr.tolist()
 
     plain = 0
     acc = [0] * (spec.d - 2)
@@ -213,8 +394,10 @@ def _masked_sums(word: Word, spec: CodeSpec) -> tuple[int, tuple[int, ...]]:
     return plain, tuple(a % p for a in acc)
 
 
-def _profile_of(word: Word, spec: CodeSpec) -> tuple[int, ...]:
-    plain, weighted = _masked_sums(word, spec)
+def _profile_of(
+    word: Word, spec: CodeSpec, arr: np.ndarray | None = None
+) -> tuple[int, ...]:
+    plain, weighted = _masked_sums(word, spec, arr)
     return (plain % spec.sum_modulus, *weighted)
 
 
@@ -224,14 +407,12 @@ def syndrome_profile(word: Word, spec: CodeSpec) -> tuple[int, ...]:
     The plain sum keeps its own modulus; it is reduced further only where a
     mod-prime shadow is explicitly needed (e.g. assembling moment systems).
     """
-    validate_word(word, spec)
-    return _profile_of(word, spec)
+    return _profile_of(word, spec, validate_word(word, spec))
 
 
 def is_codeword(word: Word, spec: CodeSpec, offset: Offset) -> bool:
     validate_offset(offset, spec)
-    validate_word(word, spec)
-    return _profile_of(word, spec) == tuple(offset)
+    return _profile_of(word, spec, validate_word(word, spec)) == tuple(offset)
 
 
 def iter_offsets(spec: CodeSpec):

@@ -9,7 +9,19 @@ lifts into the alphabet and the completed word passes the membership check.
 
 from __future__ import annotations
 
-from .core import CodeSpec, Offset, Word, _masked_sums, is_codeword, validate_offset, validate_word
+import numpy as np
+
+from .core import (
+    _ERASED,
+    CodeSpec,
+    Offset,
+    Word,
+    _as_tuple,
+    _masked_sums,
+    is_codeword,
+    validate_offset,
+    validate_word,
+)
 from .modarith import VandermondeSystem, vandermonde_solve
 
 
@@ -26,18 +38,28 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     fails, or the completed word is not a coset member.
     """
     validate_offset(offset, spec)
-    validate_word(word, spec, allow_erasures=True)
-    erased = [i for i, s in enumerate(word, start=1) if s is None]
+    arr = validate_word(word, spec, allow_erasures=True)
+    if arr is None:
+        symbols = list(word)
+        erased = [i for i, s in enumerate(symbols, start=1) if s is None]
+    else:
+        # validate_word's array is a copy of its own wherever it holds an
+        # erasure, so it is filled in place.
+        symbols = arr
+        hits = np.flatnonzero(arr == _ERASED)
+        erased = (hits + 1).tolist()
     m = len(erased)
     if m > spec.d - 1:
         raise ValueError(f"{m} erasures exceed the guaranteed limit d-1 = {spec.d - 1}")
     if m == 0:
-        if is_codeword(word, spec, offset):
-            return tuple(word)
+        if is_codeword(symbols, spec, offset):
+            return _as_tuple(word)
         raise InconsistentWordError("word has no erasures and is not a coset member")
 
     p = spec.power_modulus
-    kept_plain, kept_weighted = _masked_sums(word, spec)
+    if arr is not None:
+        arr[hits] = 0
+    kept_plain, kept_weighted = _masked_sums(word, spec, arr)
 
     # The plain sum of the erased symbols is at most (d-1)(q-1), one below
     # sum_modulus, so its residue determines it exactly.
@@ -64,10 +86,8 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
                 f"moment equation {j} unsatisfied by the recovered symbols"
             )
 
-    completed = list(word)
     for k, v in zip(erased, solved):
-        completed[k - 1] = v
-    result = tuple(completed)
-    if not is_codeword(result, spec, offset):
+        symbols[k - 1] = v
+    if not is_codeword(symbols, spec, offset):
         raise InconsistentWordError("completed word fails the membership check")
-    return result
+    return tuple(symbols) if arr is None else _as_tuple(word, arr, erased)

@@ -24,11 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodeSpec, Offset, Word, _masked_sums, is_codeword, validate_offset, validate_word
+from .core import (
+    CodeSpec,
+    Offset,
+    Word,
+    _as_tuple,
+    _evaluate_at_positions,
+    _masked_sums,
+    is_codeword,
+    validate_offset,
+    validate_word,
+)
 from .modarith import eval_poly_mod, inv_mod, validate_prime_modulus
-
-# Same switch point as the checksum helpers in core.
-_VECTOR_MIN_LENGTH = 1024
 
 
 class UncorrectableError(Exception):
@@ -47,15 +54,16 @@ def centered_lift(residue: int, modulus: int) -> int:
 
 def _syndrome_parts(
     received: Word, spec: CodeSpec, offset: Offset
-) -> tuple[int, list[int]]:
-    """(exact integer sum of error magnitudes, weighted syndromes mod prime)."""
+) -> tuple[int, list[int], np.ndarray | None]:
+    """(exact integer sum of error magnitudes, weighted syndromes mod prime,
+    the int64 form of the word from validate_word or None)."""
     validate_offset(offset, spec)
-    validate_word(received, spec)
-    plain, weighted = _masked_sums(received, spec)
+    arr = validate_word(received, spec)
+    plain, weighted = _masked_sums(received, spec, arr)
     shift = centered_lift(plain - offset[0], spec.sum_modulus)
     p = spec.power_modulus
     tail = [(w - offset[j]) % p for j, w in enumerate(weighted, start=1)]
-    return shift, tail
+    return shift, tail, arr
 
 
 def compute_error_syndrome(
@@ -67,7 +75,7 @@ def compute_error_syndrome(
     that shadow can vanish while the shift itself does not, so codeword
     detection must use the exact shift (as the decoders here do).
     """
-    shift, tail = _syndrome_parts(received, spec, offset)
+    shift, tail, _ = _syndrome_parts(received, spec, offset)
     return (shift % spec.power_modulus, *tail)
 
 
@@ -197,19 +205,17 @@ def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
     """Positions k whose locator (k mod prime) inverts to a root of lam.
 
     Scans the reversed polynomial at k directly, which avoids one modular
-    inversion per position.  A position with locator 0 (only k = n when n
-    equals the prime) can never appear here.
+    inversion per position.  From n = 64 on that is one vectorised pass
+    over the positions through core's power tables.  A position with
+    locator 0 (only k = n when n equals the prime) can never appear here.
     """
     p = spec.power_modulus
     n = spec.n
-    if n >= _VECTOR_MIN_LENGTH:
-        ks = np.arange(1, n + 1, dtype=np.int64)
-        acc = np.zeros(n, dtype=np.int64)
-        for c in lam:
-            acc = (acc * ks + c) % p
-        roots = [int(k) for k in ks[acc == 0]]
+    rev = list(reversed(lam))
+    values = _evaluate_at_positions(rev, spec)
+    if values is not None:
+        roots = (np.flatnonzero(values == 0) + 1).tolist()
     else:
-        rev = list(reversed(lam))
         roots = [k for k in range(1, n + 1) if eval_poly_mod(rev, k, p) == 0]
     return [k for k in roots if k % p != 0]
 
@@ -270,8 +276,31 @@ def locate_and_evaluate(
     return ErrorVector(tuple(entries))
 
 
+def _corrected(
+    received: Word,
+    arr: np.ndarray | None,
+    entries: list[tuple[int, int]],
+    spec: CodeSpec,
+    offset: Offset,
+) -> Word | None:
+    """The received word minus the error entries, if that is a coset member.
+
+    On the array path the candidate stays an int64 array through the
+    membership check and becomes a tuple only for the return value.
+    """
+    candidate = list(received) if arr is None else arr.copy()
+    for pos, mag in entries:
+        candidate[pos - 1] -= mag
+    if not is_codeword(candidate, spec, offset):
+        return None
+    if arr is None:
+        return tuple(candidate)
+    return _as_tuple(received, candidate, [pos for pos, _ in entries])
+
+
 def _attempt(
     received: Word,
+    arr: np.ndarray | None,
     spec: CodeSpec,
     offset: Offset,
     moments: list[int],
@@ -279,6 +308,9 @@ def _attempt(
     max_errors: int,
     zero_locator_shift: int | None,
 ) -> Word | None:
+    # Symbols are read from the int64 form where there is one: numpy
+    # scalars of a narrower dtype would wrap under the arithmetic below.
+    symbols = received if arr is None else arr
     p = spec.power_modulus
     lam, length = berlekamp_massey(moments, p)
     if length > max_errors or len(lam) - 1 != length:
@@ -287,7 +319,7 @@ def _attempt(
         entries: list[tuple[int, int]] = []
     else:
         omega = _poly_mul_trunc(lam, moments, p, len(moments))
-        entries = _magnitude_entries(lam, omega, spec, received, first_moment)
+        entries = _magnitude_entries(lam, omega, spec, symbols, first_moment)
         if entries is None:
             return None
     if zero_locator_shift is not None:
@@ -295,17 +327,11 @@ def _attempt(
         magnitude = zero_locator_shift - sum(e for _, e in entries)
         if magnitude == 0:
             return None
-        sent = received[spec.n - 1] - magnitude
+        sent = symbols[spec.n - 1] - magnitude
         if not 0 <= sent < spec.q:
             return None
         entries = entries + [(spec.n, magnitude)]
-    candidate = list(received)
-    for pos, mag in entries:
-        candidate[pos - 1] -= mag
-    result = tuple(candidate)
-    if not is_codeword(result, spec, offset):
-        return None
-    return result
+    return _corrected(received, arr, entries, spec, offset)
 
 
 def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
@@ -315,16 +341,16 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     within the correction radius of the received word, and with at most
     that many substitutions the unique closest member is the sent one.
     """
-    shift, tail = _syndrome_parts(received, spec, offset)
+    shift, tail, arr = _syndrome_parts(received, spec, offset)
     if shift == 0 and not any(tail):
-        return tuple(received)
+        return _as_tuple(received)
     p = spec.power_modulus
     radius = spec.correction_radius
     result = _attempt(
-        received, spec, offset, [shift % p, *tail], 0, radius, None
+        received, arr, spec, offset, [shift % p, *tail], 0, radius, None
     )
     if result is None and spec.n == p:
-        result = _attempt(received, spec, offset, tail, 1, radius - 1, shift)
+        result = _attempt(received, arr, spec, offset, tail, 1, radius - 1, shift)
     if result is None:
         raise UncorrectableError(
             f"no coset member within {radius} substitutions of the received word"
@@ -341,9 +367,9 @@ def decode_single_error(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     """
     if spec.d not in (3, 4):
         raise ValueError(f"single-error decoding expects d in {{3, 4}}, got d={spec.d}")
-    shift, tail = _syndrome_parts(received, spec, offset)
+    shift, tail, arr = _syndrome_parts(received, spec, offset)
     if shift == 0 and not any(tail):
-        return tuple(received)
+        return _as_tuple(received)
     p = spec.power_modulus
     if shift % p == 0:
         # Covers shift == 0 with a nonzero weighted syndrome, and any shift
@@ -358,13 +384,11 @@ def decode_single_error(received: Word, spec: CodeSpec, offset: Offset) -> Word:
         k = k_res
     else:
         raise UncorrectableError("implied position is outside the word")
-    sent = received[k - 1] - shift
+    sent = (received if arr is None else arr)[k - 1] - shift
     if not 0 <= sent < spec.q:
         raise UncorrectableError("implied magnitude leaves the alphabet")
-    out = list(received)
-    out[k - 1] = sent
-    result = tuple(out)
-    if not is_codeword(result, spec, offset):
+    result = _corrected(received, arr, [(k, shift)], spec, offset)
+    if result is None:
         raise UncorrectableError("corrected word fails the membership check")
     return result
 
@@ -378,8 +402,10 @@ def decode_single_error_scan(received: Word, spec: CodeSpec, offset: Offset) -> 
     if spec.d not in (3, 4):
         raise ValueError(f"single-error decoding expects d in {{3, 4}}, got d={spec.d}")
     validate_offset(offset, spec)
-    validate_word(received, spec)
-    plain, weighted = _masked_sums(received, spec)
+    arr = validate_word(received, spec)
+    plain, weighted = _masked_sums(received, spec, arr)
+    if arr is not None:
+        received = arr.tolist()
     m0 = spec.sum_modulus
     p = spec.power_modulus
     r0 = (plain - offset[0]) % m0

@@ -1,7 +1,10 @@
 """Arithmetic over prime residue fields, on plain Python ints.
 
-Moduli are capped below 2**31 so that any product of two reduced residues
-fits comfortably in a 64-bit word; vectorised callers rely on this.
+validate_prime_modulus caps a modulus below 2**31, so that a product of two
+reduced residues fits a 64-bit word.  It guards the moduli given here and an
+explicit ``CodeSpec.power_modulus``, not the default one (the least prime
+>= max(n, q)), which can be far larger; the vectorised kernel in ``core``
+therefore checks its own int64 bounds and falls back to exact ints.
 """
 
 from __future__ import annotations

@@ -130,6 +130,31 @@ def test_admissible_lengths_composite_variant():
         admissible_prime_lengths(6, 3)
 
 
+def test_admissible_lengths_beyond_float_range():
+    # q**d = 2**1100 does not fit a float; the length bound is an exact
+    # integer root.  Recomputed here by a plain scan with trial division.
+    q, d = 2**11, 100
+    m0 = (d - 1) * (q - 1) + 1
+
+    def prime(k):
+        return k >= 2 and all(k % f for f in range(2, math.isqrt(k) + 1))
+
+    expected = set()
+    n = max(q + 2, d + 2)
+    while n ** (d - 2) * m0 <= q**d:
+        if prime(n):
+            expected.add(n)
+        n += 1
+    assert expected  # the range is not empty
+    assert admissible_prime_lengths(q, d) == expected
+    # With a composite n the modulus is covered by 2n.
+    half = 1
+    while (2 * (half + 1)) ** (d - 2) * m0 <= q**d:
+        half += 1
+    composite = admissible_prime_lengths(q, d, allow_composite=True)
+    assert composite == set(range(max(q + 2, d + 2), half + 1))
+
+
 def test_admissible_lengths_meet_their_guarantee():
     for q, d in ((13, 5), (17, 5), (32, 7)):
         for n in admissible_prime_lengths(q, d):

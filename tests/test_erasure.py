@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vtcodes.core import CodeSpec, enumerate_codewords, parse_word, syndrome_profile
+from vtcodes.core import CodeSpec, checksum, enumerate_codewords, iter_offsets, parse_word, syndrome_profile
 from vtcodes.erasure import InconsistentWordError, decode_erasures
 
 
@@ -99,3 +99,45 @@ def test_large_block_vectorized_path():
     for i in (0, 700, 701, 1312, spec.n - 1):
         masked[i] = None
     assert decode_erasures(tuple(masked), spec, offset) == word
+
+
+def test_rejection_matches_brute_force_over_fillings():
+    # Here p = 5 <= (d-1)(q-1) = 6, so the mod-p shadow of the plain sum
+    # does not pin the erased symbols' exact sum: only the final membership
+    # check can reject a filling that meets every residue but that one.
+    # (5, 5, 3) has the same property but takes about 10 s.
+    q, n, d = 4, 4, 3
+    spec = CodeSpec(q, n, d)
+    assert spec.power_modulus <= (d - 1) * (q - 1)
+
+    def exact_profile(word):
+        return (
+            checksum(word, 0) % spec.sum_modulus,
+            *(checksum(word, j) % spec.power_modulus for j in range(1, d - 1)),
+        )
+
+    masked_words = set()
+    for word in itertools.product(range(q), repeat=n):
+        for m in range(d):
+            for positions in itertools.combinations(range(n), m):
+                masked = list(word)
+                for i in positions:
+                    masked[i] = None
+                masked_words.add(tuple(masked))
+    offsets = list(iter_offsets(spec))
+    for masked in masked_words:
+        erased = [i for i, s in enumerate(masked) if s is None]
+        profiles = {}
+        for fill in itertools.product(range(q), repeat=len(erased)):
+            completed = list(masked)
+            for i, v in zip(erased, fill):
+                completed[i] = v
+            profiles.setdefault(exact_profile(completed), []).append(tuple(completed))
+        for offset in offsets:
+            members = profiles.get(offset, [])
+            assert len(members) <= 1  # distance d exceeds the d-1 erasures
+            if members:
+                assert decode_erasures(masked, spec, offset) == members[0]
+            else:
+                with pytest.raises(InconsistentWordError):
+                    decode_erasures(masked, spec, offset)
