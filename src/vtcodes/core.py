@@ -140,14 +140,27 @@ def validate_word(
     [0, q-1], with None at erased positions where ``allow_erasures``.  From
     n = 64 on, and for every ``ndarray``, the word is converted once and
     returned as an int64 array, erased positions holding -1, for the
-    vectorised syndrome kernel.  Below that None is returned and the
-    plain-int loops take the word as it is; so they do for symbols beyond
-    int64, which only q > 2**63 admits.
+    vectorised syndrome kernel.  None is returned below n = 64 and for
+    every spec whose int64 products could overflow (``_power_tables`` is
+    None); the plain-int loops then take the word, an ``ndarray`` converted
+    to Python ints first, since numpy scalars would wrap, or raise, under
+    their exact arithmetic.
     """
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != n={spec.n}")
     q = spec.q
-    if spec.n >= _VECTOR_MIN_LENGTH or isinstance(word, np.ndarray):
+    if spec.n < _VECTOR_MIN_LENGTH:
+        # Python ints pass here; an ndarray's numpy scalars stop the scan at
+        # once and are checked below.
+        for s in word:
+            if (type(s) is int and 0 <= s < q) or (s is None and allow_erasures):
+                continue
+            break
+        else:
+            return None
+    if (spec.n >= _VECTOR_MIN_LENGTH or isinstance(word, np.ndarray)) and (
+        _power_tables(spec) is not None
+    ):
         converted = _as_int64(word, q, allow_erasures)
         if converted is not None:
             arr, erased = converted
@@ -155,15 +168,8 @@ def validate_word(
                 if erased:
                     arr[erased] = _ERASED
                 return arr
-    else:
-        for s in word:
-            if (type(s) is int and 0 <= s < q) or (s is None and allow_erasures):
-                continue
-            break
-        else:
-            return None
-    # The first bad position, named.  Only numpy integer symbols and, on
-    # the vector path, symbols beyond int64 (so q > 2**63) pass this loop.
+    # The first bad position, named.  After a conversion to int64 no word
+    # passes this loop; without one (no power tables) it is the full check.
     for i, s in enumerate(word, start=1):
         if type(s) is int and 0 <= s < q:
             continue
@@ -343,11 +349,11 @@ def _evaluate_at_positions(coeffs: list[int], spec: CodeSpec) -> np.ndarray | No
     """The polynomial with ascending ``coeffs`` at i = 1 .. n, mod p.
 
     Uses the factored power tables: at i = b*w + r the value is
-    sum_k r**k * sum_m binom(m+k, k) * coeffs[m+k] * (b*w)**m.  None below
-    n = 64, where a plain-int scan is faster, and when the tables do not
-    exist or the degree exceeds d-2.
+    sum_k r**k * sum_m binom(m+k, k) * coeffs[m+k] * (b*w)**m.  None when
+    the tables do not exist or the degree exceeds d-2.  Below n = 64 a
+    plain-int scan is faster; callers make that choice.
     """
-    if spec.n < _VECTOR_MIN_LENGTH or len(coeffs) > spec.d - 1:
+    if len(coeffs) > spec.d - 1:
         return None
     tables = _power_tables(spec)
     if tables is None:
@@ -373,15 +379,12 @@ def _masked_sums(
     Feeding erased positions as zeros makes this directly usable both for
     full words and for the kept part of a partially erased word.  ``arr`` is
     the int64 form from validate_word, with erased positions set to 0; with
-    it the weighted sums go through the factored power tables.
+    it the weighted sums go through the factored power tables.  Without it
+    the symbols must be Python ints (see validate_word).
     """
-    p = spec.power_modulus
     if arr is not None:
-        tables = _power_tables(spec)
-        if tables is not None:
-            return int(arr.sum()), _weighted_sums(arr, spec, tables)
-        word = arr.tolist()
-
+        return int(arr.sum()), _weighted_sums(arr, spec, _power_tables(spec))
+    p = spec.power_modulus
     plain = 0
     acc = [0] * (spec.d - 2)
     powers = _position_powers(spec)
@@ -407,12 +410,18 @@ def syndrome_profile(word: Word, spec: CodeSpec) -> tuple[int, ...]:
     The plain sum keeps its own modulus; it is reduced further only where a
     mod-prime shadow is explicitly needed (e.g. assembling moment systems).
     """
-    return _profile_of(word, spec, validate_word(word, spec))
+    arr = validate_word(word, spec)
+    if arr is None and isinstance(word, np.ndarray):
+        word = word.tolist()
+    return _profile_of(word, spec, arr)
 
 
 def is_codeword(word: Word, spec: CodeSpec, offset: Offset) -> bool:
     validate_offset(offset, spec)
-    return _profile_of(word, spec, validate_word(word, spec)) == tuple(offset)
+    arr = validate_word(word, spec)
+    if arr is None and isinstance(word, np.ndarray):
+        word = word.tolist()
+    return _profile_of(word, spec, arr) == tuple(offset)
 
 
 def iter_offsets(spec: CodeSpec):

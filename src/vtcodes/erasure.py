@@ -40,7 +40,7 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     validate_offset(offset, spec)
     arr = validate_word(word, spec, allow_erasures=True)
     if arr is None:
-        symbols = list(word)
+        symbols = word.tolist() if isinstance(word, np.ndarray) else list(word)
         erased = [i for i, s in enumerate(symbols, start=1) if s is None]
     else:
         # validate_word's array is a copy of its own wherever it holds an
@@ -59,7 +59,7 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     p = spec.power_modulus
     if arr is not None:
         arr[hits] = 0
-    kept_plain, kept_weighted = _masked_sums(word, spec, arr)
+    kept_plain, kept_weighted = _masked_sums(symbols, spec, arr)
 
     # The plain sum of the erased symbols is at most (d-1)(q-1), one below
     # sum_modulus, so its residue determines it exactly.

@@ -28,6 +28,7 @@ from .core import (
     CodeSpec,
     Offset,
     Word,
+    _VECTOR_MIN_LENGTH,
     _as_tuple,
     _evaluate_at_positions,
     _masked_sums,
@@ -54,16 +55,22 @@ def centered_lift(residue: int, modulus: int) -> int:
 
 def _syndrome_parts(
     received: Word, spec: CodeSpec, offset: Offset
-) -> tuple[int, list[int], np.ndarray | None]:
+) -> tuple[int, list[int], np.ndarray | None, Word]:
     """(exact integer sum of error magnitudes, weighted syndromes mod prime,
-    the int64 form of the word from validate_word or None)."""
+    the int64 form of the word from validate_word or None, the word).
+
+    Where there is no int64 form, the word comes back with Python-int
+    symbols, which the decoders then read.
+    """
     validate_offset(offset, spec)
     arr = validate_word(received, spec)
+    if arr is None and isinstance(received, np.ndarray):
+        received = received.tolist()
     plain, weighted = _masked_sums(received, spec, arr)
     shift = centered_lift(plain - offset[0], spec.sum_modulus)
     p = spec.power_modulus
     tail = [(w - offset[j]) % p for j, w in enumerate(weighted, start=1)]
-    return shift, tail, arr
+    return shift, tail, arr, received
 
 
 def compute_error_syndrome(
@@ -75,7 +82,7 @@ def compute_error_syndrome(
     that shadow can vanish while the shift itself does not, so codeword
     detection must use the exact shift (as the decoders here do).
     """
-    shift, tail, _ = _syndrome_parts(received, spec, offset)
+    shift, tail, _, _ = _syndrome_parts(received, spec, offset)
     return (shift % spec.power_modulus, *tail)
 
 
@@ -212,7 +219,7 @@ def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
     p = spec.power_modulus
     n = spec.n
     rev = list(reversed(lam))
-    values = _evaluate_at_positions(rev, spec)
+    values = _evaluate_at_positions(rev, spec) if n >= _VECTOR_MIN_LENGTH else None
     if values is not None:
         roots = (np.flatnonzero(values == 0) + 1).tolist()
     else:
@@ -341,7 +348,7 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     within the correction radius of the received word, and with at most
     that many substitutions the unique closest member is the sent one.
     """
-    shift, tail, arr = _syndrome_parts(received, spec, offset)
+    shift, tail, arr, received = _syndrome_parts(received, spec, offset)
     if shift == 0 and not any(tail):
         return _as_tuple(received)
     p = spec.power_modulus
@@ -367,7 +374,7 @@ def decode_single_error(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     """
     if spec.d not in (3, 4):
         raise ValueError(f"single-error decoding expects d in {{3, 4}}, got d={spec.d}")
-    shift, tail, arr = _syndrome_parts(received, spec, offset)
+    shift, tail, arr, received = _syndrome_parts(received, spec, offset)
     if shift == 0 and not any(tail):
         return _as_tuple(received)
     p = spec.power_modulus
@@ -403,6 +410,8 @@ def decode_single_error_scan(received: Word, spec: CodeSpec, offset: Offset) -> 
         raise ValueError(f"single-error decoding expects d in {{3, 4}}, got d={spec.d}")
     validate_offset(offset, spec)
     arr = validate_word(received, spec)
+    if arr is None and isinstance(received, np.ndarray):
+        received = received.tolist()
     plain, weighted = _masked_sums(received, spec, arr)
     if arr is not None:
         received = arr.tolist()

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from vtcodes import (
     CodeSpec,
     checksum,
+    core,
     decode_erasures,
     decode_errors,
+    decode_single_error,
     is_codeword,
     syndrome_profile,
     validate_word,
@@ -178,7 +180,31 @@ def test_large_alphabet_profile_is_exact():
     exact = exact_profile(word, spec)
     assert syndrome_profile(word, spec) == exact
     assert is_codeword(word, spec, exact)
+    assert syndrome_profile(np.array(word, dtype=np.int64), spec) == exact
+    assert is_codeword(np.array(word, dtype=np.int64), spec, exact)
     received = list(word)
     received[10] = (received[10] + 5) % spec.q
     received[700] = (received[700] + 2**32) % spec.q
-    assert decode_errors(tuple(received), spec, exact) == word
+    for form in (tuple(received), np.array(received, dtype=np.int64)):
+        assert_same_tuple(decode_errors(form, spec, exact), word)
+
+
+def test_alphabet_beyond_int64_decodes_on_plain_ints(monkeypatch):
+    # q = 2**64 makes the default modulus the least prime above 2**64,
+    # which the package's trial division takes minutes to find; it is
+    # 2**64 + 13.  Symbols and residues beyond int64 must stay Python ints
+    # through every decoder step, whatever the input type.
+    prime = 2**64 + 13
+    assert all(pow(a, prime - 1, prime) == 1 for a in (2, 3, 5, 7, 11))
+    monkeypatch.setattr(core, "smallest_prime_geq", lambda m: prime if m == 2**64 else None)
+    spec = CodeSpec(2**64, 64, 3)
+    assert spec.power_modulus == prime
+    sent = [0] * spec.n
+    sent[20] = 2**64 - 1
+    offset = exact_profile(sent, spec)
+    received = list(sent)
+    received[9] = 5
+    for form in (tuple(received), received, np.array(received, dtype=np.uint64)):
+        assert syndrome_profile(form, spec) == exact_profile(received, spec)
+        assert_same_tuple(decode_errors(form, spec, offset), tuple(sent))
+        assert_same_tuple(decode_single_error(form, spec, offset), tuple(sent))
