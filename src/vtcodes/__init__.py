@@ -62,14 +62,7 @@ from .errors import (
     decode_single_error_scan,
     locate_and_evaluate,
 )
-from .modarith import (
-    VandermondeSystem,
-    eval_poly_mod,
-    inv_mod,
-    is_prime,
-    smallest_prime_geq,
-    vandermonde_solve,
-)
+from .modarith import eval_poly_mod, inv_mod, is_prime, smallest_prime_geq
 from .oracle import (
     VerificationReport,
     coset_partition,
@@ -94,7 +87,6 @@ __all__ = [
     "LengthBound",
     "LinearBaseline",
     "UncorrectableError",
-    "VandermondeSystem",
     "VerificationReport",
     "admissible_prime_lengths",
     "berlekamp_massey",
@@ -136,7 +128,6 @@ __all__ = [
     "redundancy_upper_bound",
     "smallest_prime_geq",
     "syndrome_profile",
-    "vandermonde_solve",
     "validate_offset",
     "validate_word",
 ]

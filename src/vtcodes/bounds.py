@@ -167,11 +167,15 @@ def admissible_prime_lengths(
 ) -> set[int]:
     """Prime lengths n where the construction provably beats linear codes.
 
-    Requires a prime-power q and d >= 3.  A prime length n >= q+2 (and at
-    least d+2) qualifies when n**(d-2) * sum_modulus <= q**d: taking the
-    prime modulus equal to n keeps the coset count below q**d, while any
-    linear code of the same distance must spend at least d redundant
-    symbols there.  With ``allow_composite`` the primality requirement is
+    Requires a prime-power q and d >= 3.  A prime length n >= q+2 (q+3
+    for even q, and at least d+2) qualifies when
+    n**(d-2) * sum_modulus <= q**d: taking the prime modulus equal to n
+    keeps the coset count below q**d, while any linear code of the same
+    distance must spend at least d redundant symbols there.  That linear
+    side is the MDS conjecture: a linear MDS code has length at most q+1,
+    or q+2 for even q, where hyperovals give [q+2, q-1, 4] codes.  Ball
+    (2012) proved it for prime q; for other prime powers it stays a
+    conjecture.  With ``allow_composite`` the primality requirement is
     dropped and the modulus is covered by 2n instead (some prime below 2n
     always works), shrinking the range accordingly.
     """
@@ -180,7 +184,7 @@ def admissible_prime_lengths(
         raise ValueError(f"designed distance d={d} must be >= 3")
     scale = 2 if allow_composite else 1
     hi = _largest_length(q, d, scale)
-    lo = max(q + 2, d + 2)
+    lo = max(q + 3 if q % 2 == 0 else q + 2, d + 2)
     if allow_composite:
         return set(range(lo, hi + 1))
     return {n for n in range(lo, hi + 1) if is_prime(n)}

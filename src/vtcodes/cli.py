@@ -85,6 +85,8 @@ def corrupt(
     the seed.
     """
     n = len(word)
+    if q < 2:
+        raise ValueError(f"alphabet size q={q} must be >= 2")
     if erasures < 0 or errors < 0:
         raise ValueError("erasure and error counts must be nonnegative")
     if erasures + errors > n:

@@ -31,6 +31,8 @@ ERASURE_MARK = "?"
 _VECTOR_MIN_LENGTH = 64
 # Marks an erased position in the int64 form of a word.
 _ERASED = -1
+# Symbols per block when a word that may hold erasures is converted.
+_BLOCK = 1024
 
 Word = tuple
 Offset = tuple
@@ -193,6 +195,13 @@ def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, lis
     erasure where none is allowed.  A one-dimensional integer ``ndarray``
     may come back as itself; it has no erasures, so callers never write
     into it.
+
+    Symbols go through a typed buffer, ``bytearray`` when q <= 256 and
+    ``array("q")`` above.  Both take only integers (through __index__) and
+    raise TypeError on anything else, so floats are never truncated; out of
+    their range they raise ValueError or OverflowError.  The word converts
+    in blocks of ``_BLOCK`` symbols, and only a block that raises TypeError
+    is searched for None, so a few erasures cost a few block scans.
     """
     if isinstance(word, np.ndarray):
         if word.ndim == 1 and word.dtype.kind in "iu":
@@ -200,39 +209,42 @@ def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, lis
         word = word.tolist()
     elif isinstance(word, (bytes, bytearray)):
         return np.frombuffer(word, dtype=np.uint8).astype(np.int64), []
-    try:
-        return _packed(word, q), []
-    except (ValueError, OverflowError):
-        return None
-    except TypeError:
-        if not allow_erasures:
+    n = len(word)
+    wide = q > 256
+    if wide and not allow_erasures:
+        # One array("q") of the whole word is faster than blocks of them.
+        try:
+            return np.frombuffer(array("q", word), dtype=np.int64), []
+        except (TypeError, OverflowError):
             return None
-    filled = list(word)
+    buf = array("q", bytes(8 * n)) if wide else bytearray(n)
+
+    def put(start: int, symbols) -> None:
+        buf[start : start + len(symbols)] = array("q", symbols) if wide else symbols
+
     erased: list[int] = []
     try:
-        while True:
-            erased.append(filled.index(None, erased[-1] + 1 if erased else 0))
-            filled[erased[-1]] = 0
-    except ValueError:
-        pass
-    try:
-        return _packed(filled, q), erased
+        for start in range(0, n, _BLOCK):
+            block = word[start : start + _BLOCK]
+            try:
+                put(start, block)
+                continue
+            except TypeError:
+                if not allow_erasures:
+                    return None
+            block = list(block)
+            hits: list[int] = []
+            try:
+                while True:
+                    hits.append(block.index(None, hits[-1] + 1 if hits else 0))
+                    block[hits[-1]] = 0
+            except ValueError:
+                pass
+            put(start, block)
+            erased.extend(start + i for i in hits)
     except (TypeError, ValueError, OverflowError):
         return None
-
-
-def _packed(symbols, q: int) -> np.ndarray:
-    """Integer symbols as a new int64 array, through a typed buffer.
-
-    ``bytes`` and ``array("q")`` take only integers (through __index__) and
-    raise TypeError on anything else, so floats are never truncated.  Bytes
-    convert about three times faster and hold every symbol when q <= 256;
-    out of their range they raise ValueError, as array("q") raises
-    OverflowError beyond int64.
-    """
-    if q <= 256:
-        return np.frombuffer(bytes(symbols), dtype=np.uint8).astype(np.int64)
-    return np.frombuffer(array("q", symbols), dtype=np.int64)
+    return np.frombuffer(buf, dtype=np.int64 if wide else np.uint8).astype(np.int64, copy=False), erased
 
 
 def _as_tuple(word: Word, arr: np.ndarray | None = None, changed=()) -> Word:

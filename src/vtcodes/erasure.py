@@ -2,9 +2,13 @@
 
 The kept symbols pin down every checksum of the erased part: the plain sum
 exactly (it is a residue mod sum_modulus that also fits below it), the
-weighted sums modulo the prime.  The erased symbols then solve a Vandermonde
-moment system over the prime field, and the solution is accepted only if it
-lifts into the alphabet and the completed word passes the membership check.
+weighted sums modulo the prime.  The first m of those moments form a
+Vandermonde system in the m erased symbols, which ``solve_moments`` solves
+in closed form from the erasure locator, in O(m**2) steps with no
+elimination.  The solution is a coset member exactly when it lifts into
+the alphabet, its plain sum equals the erased part's exact sum, and the
+remaining moments m .. d-2 hold; checking that costs O(m*d), so no second
+pass over the word is made.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ from .core import (
     Word,
     _as_tuple,
     _masked_sums,
-    is_codeword,
     validate_offset,
     validate_word,
 )
-from .modarith import VandermondeSystem, vandermonde_solve
+from .modarith import solve_moments
 
 
 class InconsistentWordError(Exception):
@@ -51,10 +54,6 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     m = len(erased)
     if m > spec.d - 1:
         raise ValueError(f"{m} erasures exceed the guaranteed limit d-1 = {spec.d - 1}")
-    if m == 0:
-        if is_codeword(symbols, spec, offset):
-            return _as_tuple(word)
-        raise InconsistentWordError("word has no erasures and is not a coset member")
 
     p = spec.power_modulus
     if arr is not None:
@@ -64,14 +63,15 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     # The plain sum of the erased symbols is at most (d-1)(q-1), one below
     # sum_modulus, so its residue determines it exactly.
     erased_plain = (offset[0] - kept_plain) % spec.sum_modulus
-    rhs_full = [erased_plain % p] + [
+    rhs = [erased_plain % p] + [
         (offset[j] - kept_weighted[j - 1]) % p for j in range(1, spec.d - 1)
     ]
+    if m == 0:
+        if erased_plain or any(rhs):
+            raise InconsistentWordError("word has no erasures and is not a coset member")
+        return _as_tuple(word)
 
-    system = VandermondeSystem(
-        nodes=tuple(k % p for k in erased), rhs=tuple(rhs_full[:m]), modulus=p
-    )
-    solved = vandermonde_solve(system)
+    solved = solve_moments(erased, rhs, p)
 
     for k, v in zip(erased, solved):
         if v >= spec.q:
@@ -79,15 +79,25 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
                 f"recovered symbol {v} at position {k} outside [0, {spec.q - 1}]"
             )
 
+    # The solve meets moments 0 .. m-1 mod p; the rest are checked here,
+    # with powers k**j carried from one j to the next.
+    powers = [pow(k, m, p) for k in erased]
     for j in range(m, spec.d - 1):
-        residual = sum(pow(k, j, p) * v for k, v in zip(erased, solved)) % p
-        if residual != rhs_full[j]:
+        if sum(w * v for w, v in zip(powers, solved)) % p != rhs[j]:
             raise InconsistentWordError(
                 f"moment equation {j} unsatisfied by the recovered symbols"
             )
+        powers = [w * k % p for w, k in zip(powers, erased)]
 
-    for k, v in zip(erased, solved):
-        symbols[k - 1] = v
-    if not is_codeword(symbols, spec, offset):
+    # Moment 0 held only mod p.  The completed word's plain sum matches
+    # offset[0] mod sum_modulus exactly when the recovered symbols add up to
+    # erased_plain, as both lie in [0, sum_modulus): 0 <= sum <= m(q-1).
+    if sum(solved) != erased_plain:
         raise InconsistentWordError("completed word fails the membership check")
-    return tuple(symbols) if arr is None else _as_tuple(word, arr, erased)
+
+    if arr is None:
+        for k, v in zip(erased, solved):
+            symbols[k - 1] = v
+        return tuple(symbols)
+    arr[hits] = solved
+    return _as_tuple(word, arr, erased)

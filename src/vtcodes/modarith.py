@@ -1,15 +1,15 @@
 """Arithmetic over prime residue fields, on plain Python ints.
 
-validate_prime_modulus caps a modulus below 2**31, so that a product of two
-reduced residues fits a 64-bit word.  It guards the moduli given here and an
-explicit ``CodeSpec.power_modulus``, not the default one (the least prime
->= max(n, q)), which can be far larger; the vectorised kernel in ``core``
-therefore checks its own int64 bounds and falls back to exact ints.
+Everything here is exact at any size of modulus.  validate_prime_modulus
+caps a modulus below 2**31; it guards only an explicit
+``CodeSpec.power_modulus``, a ``KeyEquationState`` and the moduli given to
+``bounds``, not the default one (the least prime >= max(n, q)), which can
+be far larger.  Erasure decoding (``solve_moments``) runs under no cap,
+and the vectorised kernel in ``core`` checks its own int64 bounds and
+falls back to exact ints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MAX_MODULUS = 1 << 31
 
@@ -69,54 +69,39 @@ def eval_poly_mod(coeffs: list[int] | tuple[int, ...], x: int, modulus: int) -> 
     return acc
 
 
-@dataclass(frozen=True)
-class VandermondeSystem:
-    """The moment equations sum_i nodes[i]**j * x[i] = rhs[j] (mod modulus).
+def solve_moments(nodes, rhs, modulus: int) -> tuple[int, ...]:
+    """Solve sum_i nodes[i]**j * x[i] = rhs[j] (mod modulus), j < len(nodes).
 
-    One equation per j = 0 .. len(rhs)-1.  Nodes must be pairwise distinct
-    modulo the (prime) modulus or the system is not uniquely solvable.
+    The transposed Vandermonde system is inverted in closed form (the
+    Lagrange form Forney's erasure evaluator takes).  With
+    P(z) = prod_i (z - nodes[i]) and P_i(z) = P(z) / (z - nodes[i]) =
+    sum_j c_ij z**j, the sum sum_j c_ij * rhs[j] equals x[i] * P_i(nodes[i]),
+    and P_i(nodes[i]) = P'(nodes[i]).  One synthetic division per node gives
+    both, so the solve costs O(m**2) products and m inversions for m nodes.
+    Nodes are taken mod the (prime) modulus, so node p is node 0 and needs
+    no special case; nodes that collide there leave P' zero and raise
+    ValueError.  Only the first len(nodes) entries of ``rhs`` are read.
+    Returns residues in [0, modulus).
     """
-
-    nodes: tuple[int, ...]
-    rhs: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self) -> None:
-        validate_prime_modulus(self.modulus)
-        if len(self.nodes) != len(self.rhs):
-            raise ValueError(
-                f"{len(self.nodes)} nodes but {len(self.rhs)} right-hand sides"
-            )
-        if not self.nodes:
-            raise ValueError("empty system")
-        reduced = [k % self.modulus for k in self.nodes]
-        if len(set(reduced)) != len(reduced):
-            raise ValueError(f"nodes {self.nodes} collide modulo {self.modulus}")
-
-
-def vandermonde_solve(system: VandermondeSystem) -> tuple[int, ...]:
-    """Solve a Vandermonde moment system by Gaussian elimination.
-
-    Systems here are tiny (at most a handful of unknowns), so cubic
-    elimination is the simplest correct tool.  Returns residues in
-    [0, modulus).
-    """
-    p = system.modulus
-    m = len(system.nodes)
-    rows = []
-    for j in range(m):
-        rows.append([pow(k, j, p) for k in system.nodes] + [system.rhs[j] % p])
-
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col] % p != 0), None)
-        if pivot is None:
-            raise ValueError("singular system despite distinct nodes")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = inv_mod(rows[col][col], p)
-        rows[col] = [v * inv % p for v in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col] % p != 0:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[col])]
-
-    return tuple(rows[i][m] for i in range(m))
+    p = modulus
+    m = len(nodes)
+    # Descending coefficients of P: P(z) = sum_t poly[t] * z**(m-t).
+    poly = [1]
+    for x in nodes:
+        poly.append(0)
+        for t in range(len(poly) - 1, 0, -1):
+            poly[t] = (poly[t] - x * poly[t - 1]) % p
+    solved = []
+    for x in nodes:
+        # c runs over the coefficients of P_i from z**(m-1) down, each
+        # paired with rhs[j] for its power j; deriv is Horner's P_i(x).
+        c = deriv = 1
+        acc = rhs[m - 1]
+        for t in range(1, m):
+            c = (poly[t] + x * c) % p
+            acc += c * rhs[m - 1 - t]
+            deriv = (deriv * x + c) % p
+        if not deriv:
+            raise ValueError(f"nodes {tuple(nodes)} collide modulo {p}")
+        solved.append(acc * pow(deriv, -1, p) % p)
+    return tuple(solved)

@@ -130,6 +130,20 @@ def test_admissible_lengths_composite_variant():
         admissible_prime_lengths(6, 3)
 
 
+
+def test_admissible_lengths_skip_hyperoval_length_for_even_q():
+    # For even q a hyperoval gives a linear [q+2, q-1, 4] code, so length
+    # q+2 at d = 4 is no gain over linear codes; composite lengths start at
+    # q+3.  The redundancy bound alone would admit q+2.
+    for q in (16, 32, 64):
+        m0 = 3 * (q - 1) + 1
+        assert (q + 2) ** 2 * m0 <= q**4
+        lengths = admissible_prime_lengths(q, 4, allow_composite=True)
+        assert q + 2 not in lengths
+        assert all(n >= q + 3 for n in lengths)
+        assert q + 2 not in admissible_prime_lengths(q, 4)
+    assert min(admissible_prime_lengths(32, 4, allow_composite=True)) == 35
+
 def test_admissible_lengths_beyond_float_range():
     # q**d = 2**1100 does not fit a float; the length bound is an exact
     # integer root.  Recomputed here by a plain scan with trial division.

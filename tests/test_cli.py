@@ -52,6 +52,14 @@ def test_corrupt_validation():
         corrupt((0, 1), 2, errors=-1)
 
 
+
+def test_cli_corrupt_rejects_alphabet_below_two(capsys):
+    rc = main(["corrupt", "--q", "1", "--word", "0,0,0", "--errors", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "q=1" in err
+    assert "bound" not in err
+
 def test_cli_check(capsys):
     rc = main(["check", "--q", "2", "--n", "5", "--d", "3",
                "--offset", "0,0", "--word", "1,0,0,1,1"])

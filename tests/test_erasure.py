@@ -2,9 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from vtcodes.core import CodeSpec, checksum, enumerate_codewords, iter_offsets, parse_word, syndrome_profile
 from vtcodes.erasure import InconsistentWordError, decode_erasures
+from vtcodes.modarith import smallest_prime_geq
+
+
+def exact_profile(word, spec):
+    return (
+        checksum(word, 0) % spec.sum_modulus,
+        *(checksum(word, j) % spec.power_modulus for j in range(1, spec.d - 1)),
+    )
 
 
 def test_two_erasures_known_answer():
@@ -101,6 +113,24 @@ def test_large_block_vectorized_path():
     assert decode_erasures(tuple(masked), spec, offset) == word
 
 
+def test_d_minus_one_erasures_at_large_distance():
+    # d - 1 = 128 erasures at n = 4099.  With one kept symbol changed, a
+    # completion would need all 128 solved residues mod 4099 to land in
+    # [0, 15]; with this seed they do not.
+    rng = random.Random(129)
+    spec = CodeSpec(16, 4099, 129)
+    word = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+    offset = syndrome_profile(word, spec)
+    positions = rng.sample(range(spec.n), spec.d - 1)
+    masked = list(word)
+    for i in positions:
+        masked[i] = None
+    assert decode_erasures(tuple(masked), spec, offset) == word
+    kept = next(i for i in range(spec.n) if masked[i] is not None)
+    masked[kept] = (masked[kept] + 1) % spec.q
+    with pytest.raises(InconsistentWordError):
+        decode_erasures(tuple(masked), spec, offset)
+
 def test_rejection_matches_brute_force_over_fillings():
     # Here p = 5 <= (d-1)(q-1) = 6, so the mod-p shadow of the plain sum
     # does not pin the erased symbols' exact sum: only the final membership
@@ -109,12 +139,6 @@ def test_rejection_matches_brute_force_over_fillings():
     q, n, d = 4, 4, 3
     spec = CodeSpec(q, n, d)
     assert spec.power_modulus <= (d - 1) * (q - 1)
-
-    def exact_profile(word):
-        return (
-            checksum(word, 0) % spec.sum_modulus,
-            *(checksum(word, j) % spec.power_modulus for j in range(1, d - 1)),
-        )
 
     masked_words = set()
     for word in itertools.product(range(q), repeat=n):
@@ -132,7 +156,7 @@ def test_rejection_matches_brute_force_over_fillings():
             completed = list(masked)
             for i, v in zip(erased, fill):
                 completed[i] = v
-            profiles.setdefault(exact_profile(completed), []).append(tuple(completed))
+            profiles.setdefault(exact_profile(completed, spec), []).append(tuple(completed))
         for offset in offsets:
             members = profiles.get(offset, [])
             assert len(members) <= 1  # distance d exceeds the d-1 erasures
@@ -141,3 +165,94 @@ def test_rejection_matches_brute_force_over_fillings():
             else:
                 with pytest.raises(InconsistentWordError):
                     decode_erasures(masked, spec, offset)
+
+
+def reference_decode(masked, spec, offset):
+    """The coset member that completes ``masked``, or None; independent of
+    the package's solver and syndrome kernel.
+
+    The erased symbols add up to less than sum_modulus, so their plain sum
+    is the residue (offset[0] - kept sum) mod sum_modulus.  With it, the
+    first m moment equations over GF(p) determine the erased symbols
+    (their Vandermonde matrix is invertible); sympy solves them.  The
+    completion is a member when its symbols lie in the alphabet and its
+    exact checksums match the offset.
+    """
+    p = spec.power_modulus
+    erased = [i for i, s in enumerate(masked, start=1) if s is None]
+    kept = [0 if s is None else s for s in masked]
+    moments = [(offset[0] - checksum(kept, 0)) % spec.sum_modulus] + [
+        offset[j] - checksum(kept, j) for j in range(1, len(erased))
+    ]
+    field = GF(p)
+    m = len(erased)
+    matrix = DomainMatrix(
+        [[field(pow(k, j, p)) for k in erased] for j in range(m)], (m, m), field
+    )
+    rhs = DomainMatrix([[field(t % p)] for t in moments], (m, 1), field)
+    values = [int(field.to_int(v)) % p for v in matrix.lu_solve(rhs).to_list_flat()]
+    if any(v >= spec.q for v in values):
+        return None
+    for k, v in zip(erased, values):
+        kept[k - 1] = v
+    return tuple(kept) if exact_profile(kept, spec) == tuple(offset) else None
+
+
+@st.composite
+def erasure_specs(draw):
+    """Codes with n = p, with q > n (so p > n), with q = 2, and with d up
+    to 33 at n <= 300."""
+    d = draw(st.integers(3, 33))
+    kind = draw(st.sampled_from(["n=p", "q>n", "q=2", "n<p"]))
+    if kind == "n=p":
+        q = draw(st.integers(2, 250))
+        n = smallest_prime_geq(draw(st.integers(max(q, d), 293)))
+    elif kind == "q>n":
+        n = draw(st.integers(d, 300))
+        q = draw(st.integers(n + 1, n + 400))
+    else:
+        q = 2 if kind == "q=2" else draw(st.integers(3, 300))
+        n = draw(st.integers(d, 300))
+    spec = CodeSpec(q, n, d)
+    if kind == "n=p":
+        assert spec.power_modulus == n
+    if kind == "n<p":
+        assume(spec.power_modulus > n)
+    return spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(erasure_specs(), st.integers(0, 2**32))
+def test_erasures_match_an_independent_gf_p_solve(spec, seed):
+    rng = random.Random(seed)
+    p = spec.power_modulus
+    sent = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+    offset = exact_profile(sent, spec)
+    m = rng.randint(1, spec.d - 1)
+    positions = rng.sample(range(spec.n - 1), m - 1) + [spec.n - 1]  # node n mod p
+    masked = list(sent)
+    for i in positions:
+        masked[i] = None
+    masked = tuple(masked)
+    assert decode_erasures(masked, spec, offset) == sent
+
+    # Damaged variants, each compared with the reference: a kept symbol
+    # changed; offset[0] moved by p (mod sum_modulus), which leaves every
+    # mod-p equation as it was unless the move wraps, so that only the
+    # exact plain-sum check can reject it; a random offset.
+    kept = [i for i in range(spec.n) if masked[i] is not None]
+    changed = list(masked)
+    i = rng.choice(kept)
+    changed[i] = (changed[i] + rng.randrange(1, spec.q)) % spec.q
+    moved = ((offset[0] + p) % spec.sum_modulus, *offset[1:])
+    drawn = (
+        rng.randrange(spec.sum_modulus),
+        *(rng.randrange(p) for _ in range(spec.d - 2)),
+    )
+    for word, target in ((tuple(changed), offset), (masked, moved), (masked, drawn)):
+        expected = reference_decode(word, spec, target)
+        if expected is None:
+            with pytest.raises(InconsistentWordError):
+                decode_erasures(word, spec, target)
+        else:
+            assert decode_erasures(word, spec, target) == expected

@@ -6,7 +6,8 @@ wherever an int64 product could overflow (large alphabets), plain-int loops
 run.  These tests
 draw codes on both sides of each switch and compare every path with the
 residues of ``checksum``, which sums unbounded Python ints.  They also check
-that every accepted input type decodes to the same tuple, and that a bad
+that every accepted input type decodes to the same tuple, that both
+decoders take alphabets too large for int64 arithmetic, and that a bad
 symbol gets the same message on every path.
 """
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from vtcodes import (
     CodeSpec,
+    InconsistentWordError,
     checksum,
     core,
     decode_erasures,
@@ -170,6 +172,31 @@ def test_bad_symbol_message_for_arrays(n):
     assert_rejected(np.ones((n, 1), dtype=np.int64), spec, expected_message(np.ones(1, dtype=np.int64), 1, spec.q))
 
 
+@pytest.mark.parametrize("q", [5, 1000])
+def test_erasures_found_in_every_conversion_block(q):
+    # Words that may hold erasures convert in blocks of core._BLOCK symbols;
+    # None is searched for only in a block that fails to convert.
+    spec = CodeSpec(q, 3 * core._BLOCK + 7, 9)
+    rng = random.Random(q)
+    sent = tuple(rng.randrange(q) for _ in range(spec.n))
+    offset = exact_profile(sent, spec)
+    erased = [0, core._BLOCK - 1, core._BLOCK, 2 * core._BLOCK + 3, spec.n - 1]
+    masked = list(sent)
+    for k in erased:
+        masked[k] = None
+    arr = validate_word(tuple(masked), spec, allow_erasures=True)
+    assert np.flatnonzero(arr == -1).tolist() == erased
+    assert_same_tuple(decode_erasures(tuple(masked), spec, offset), sent)
+    # A bad symbol after an erasure in the same block, and one in a later
+    # block: the message names the first bad position.
+    for bad, position in ((2.5, 8), (q, 2 * core._BLOCK + 10)):
+        word = list(masked)
+        word[position - 1] = bad
+        word[-2] = -1
+        with pytest.raises(ValueError) as info:
+            decode_erasures(word, spec, offset)
+        assert str(info.value) == expected_message(bad, position, q)
+
 def test_large_alphabet_profile_is_exact():
     # The default modulus here is the least prime above 2**33, so int64
     # products of a residue and a symbol overflow; the kernel must fall back
@@ -187,6 +214,24 @@ def test_large_alphabet_profile_is_exact():
     received[700] = (received[700] + 2**32) % spec.q
     for form in (tuple(received), np.array(received, dtype=np.int64)):
         assert_same_tuple(decode_errors(form, spec, exact), word)
+
+
+def test_large_alphabet_erasures_decode():
+    # The same spec's modulus once made erasure decoding refuse the spec
+    # ("modulus ... >= 2**31 is not supported"); the erasure solve is exact
+    # at any modulus.
+    spec = CodeSpec(2**33, 1024, 6)
+    rng = random.Random(33)
+    word = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+    offset = exact_profile(word, spec)
+    masked = list(word)
+    for k in (0, 17, 511, 900, spec.n - 1):
+        masked[k] = None
+    for form in (tuple(masked), masked, np.array(masked, dtype=object)):
+        assert_same_tuple(decode_erasures(form, spec, offset), word)
+    masked[300] = (masked[300] + 1) % spec.q
+    with pytest.raises(InconsistentWordError):
+        decode_erasures(tuple(masked), spec, offset)
 
 
 def test_alphabet_beyond_int64_decodes_on_plain_ints(monkeypatch):
@@ -208,3 +253,9 @@ def test_alphabet_beyond_int64_decodes_on_plain_ints(monkeypatch):
         assert syndrome_profile(form, spec) == exact_profile(received, spec)
         assert_same_tuple(decode_errors(form, spec, offset), tuple(sent))
         assert_same_tuple(decode_single_error(form, spec, offset), tuple(sent))
+    masked = list(sent)
+    masked[9] = None
+    masked[20] = None  # the erased symbol 2**64 - 1 does not fit int64
+    for form in (tuple(masked), masked, np.array(masked, dtype=object)):
+        assert_same_tuple(decode_erasures(form, spec, offset), tuple(sent))
+    assert_same_tuple(decode_erasures(tuple(sent), spec, offset), tuple(sent))

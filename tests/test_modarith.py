@@ -3,13 +3,12 @@ import random
 import pytest
 
 from vtcodes.modarith import (
-    VandermondeSystem,
     eval_poly_mod,
     inv_mod,
     is_prime,
     smallest_prime_geq,
+    solve_moments,
     validate_prime_modulus,
-    vandermonde_solve,
 )
 
 
@@ -70,21 +69,24 @@ def test_eval_poly_mod_ascending_order():
 
 
 def test_vandermonde_known_answer():
-    system = VandermondeSystem(nodes=(2, 3), rhs=(1, 2), modulus=5)
-    assert vandermonde_solve(system) == (1, 0)
+    assert solve_moments((2, 3), (1, 2), 5) == (1, 0)
+    # x0 + x1 = 3 and 2*x0 + 4*x1 = 2 (mod 7): x0 = 5, x1 = 5
+    assert solve_moments((2, 4), (3, 2), 7) == (5, 5)
 
 
 def test_vandermonde_single_node():
-    system = VandermondeSystem(nodes=(4,), rhs=(3,), modulus=7)
-    assert vandermonde_solve(system) == (3,)
+    assert solve_moments((4,), (3,), 7) == (3,)
+    # only the first len(nodes) right-hand sides are read
+    assert solve_moments((4,), (3, 6, 1), 7) == (3,)
 
 
 def test_vandermonde_node_zero_is_fine():
     # A zero node only zeroes the higher-power rows, not the solvability.
-    system = VandermondeSystem(nodes=(0, 2), rhs=(3, 4), modulus=5)
-    x0, x1 = vandermonde_solve(system)
+    x0, x1 = solve_moments((0, 2), (3, 4), 5)
     assert (x0 + x1) % 5 == 3
     assert 2 * x1 % 5 == 4
+    # node p is node 0: position n = p of a word
+    assert solve_moments((5, 2), (3, 4), 5) == (x0, x1)
 
 
 def test_vandermonde_round_trip_random():
@@ -98,19 +100,18 @@ def test_vandermonde_round_trip_random():
                     sum(pow(x, j, p) * v for x, v in zip(nodes, solution)) % p
                     for j in range(size)
                 )
-                system = VandermondeSystem(nodes=nodes, rhs=rhs, modulus=p)
-                assert vandermonde_solve(system) == solution
+                assert solve_moments(nodes, rhs, p) == solution
 
 
 def test_vandermonde_validation():
-    with pytest.raises(ValueError):
-        VandermondeSystem(nodes=(1, 2), rhs=(0, 0), modulus=6)
-    with pytest.raises(ValueError):
-        VandermondeSystem(nodes=(1, 8), rhs=(0, 0), modulus=7)  # 8 is 1 mod 7
-    with pytest.raises(ValueError):
-        VandermondeSystem(nodes=(1, 2), rhs=(0,), modulus=7)
-    with pytest.raises(ValueError):
-        VandermondeSystem(nodes=(), rhs=(), modulus=7)
+    # Colliding nodes leave the locator's derivative zero at them.
+    with pytest.raises(ValueError, match="collide"):
+        solve_moments((1, 8), (0, 0), 7)  # 8 is 1 mod 7
+    with pytest.raises(ValueError, match="collide"):
+        solve_moments((3, 3, 5), (1, 2, 3), 11)
+    with pytest.raises(ValueError, match="collide"):
+        solve_moments((0, 7), (0, 0), 7)  # node p is node 0
+    assert solve_moments((), (), 7) == ()
 
 
 def test_smallest_prime_geq_around_table_lengths():
@@ -128,8 +129,8 @@ def test_smallest_prime_geq_stays_below_double():
 
 
 def test_vandermonde_homogeneous_solution_is_zero():
-    system = VandermondeSystem(nodes=(2, 3), rhs=(0, 0), modulus=5)
-    assert vandermonde_solve(system) == (0, 0)
+    assert solve_moments((2, 3), (0, 0), 5) == (0, 0)
+    assert solve_moments((1, 4, 9, 16), (0, 0, 0, 0), 17) == (0, 0, 0, 0)
 
 
 def test_vandermonde_solution_follows_node_order():
@@ -143,11 +144,11 @@ def test_vandermonde_solution_follows_node_order():
             sum(pow(x, j, p) * v for x, v in zip(nodes, truth)) % p
             for j in range(size)
         )
-        assert vandermonde_solve(VandermondeSystem(tuple(nodes), rhs, p)) == tuple(truth)
+        assert solve_moments(nodes, rhs, p) == tuple(truth)
         # the moment sums do not care about pair order, so a reordered
         # system must return the same values in the new order
         order = rng.sample(range(size), size)
         shuffled = tuple(nodes[i] for i in order)
-        assert vandermonde_solve(VandermondeSystem(shuffled, rhs, p)) == tuple(
+        assert solve_moments(shuffled, rhs, p) == tuple(
             truth[i] for i in order
         )
