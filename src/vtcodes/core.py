@@ -211,12 +211,6 @@ def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, lis
         return np.frombuffer(word, dtype=np.uint8).astype(np.int64), []
     n = len(word)
     wide = q > 256
-    if wide and not allow_erasures:
-        # One array("q") of the whole word is faster than blocks of them.
-        try:
-            return np.frombuffer(array("q", word), dtype=np.int64), []
-        except (TypeError, OverflowError):
-            return None
     buf = array("q", bytes(8 * n)) if wide else bytearray(n)
 
     def put(start: int, symbols) -> None:

@@ -4,8 +4,6 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import GF
-from sympy.polys.matrices import DomainMatrix
 
 from vtcodes.core import CodeSpec, checksum, enumerate_codewords, iter_offsets, parse_word, syndrome_profile
 from vtcodes.erasure import InconsistentWordError, decode_erasures
@@ -178,6 +176,9 @@ def reference_decode(masked, spec, offset):
     completion is a member when its symbols lie in the alphabet and its
     exact checksums match the offset.
     """
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
     p = spec.power_modulus
     erased = [i for i, s in enumerate(masked, start=1) if s is None]
     kept = [0 if s is None else s for s in masked]
