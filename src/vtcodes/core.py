@@ -33,6 +33,12 @@ _VECTOR_MIN_LENGTH = 64
 _ERASED = -1
 # Symbols per block when a word that may hold erasures is converted.
 _BLOCK = 1024
+# OpenBLAS keeps a product of up to this many multiply-adds (m*n*k) on the
+# calling thread and may split a larger one over its threads.  On a 2-vCPU
+# host the split cost more than it saved (n = 1e6, d = 3: 7 ms against 2 ms
+# for the syndrome product inside a decode), so word-sized products are
+# issued in row slabs of at most this size.
+_BLAS_SLAB = 1 << 18
 
 Word = tuple
 Offset = tuple
@@ -143,10 +149,10 @@ def validate_word(
     n = 64 on, and for every ``ndarray``, the word is converted once and
     returned as an int64 array, erased positions holding -1, for the
     vectorised syndrome kernel.  None is returned below n = 64 and for
-    every spec whose int64 products could overflow (``_power_tables`` is
-    None); the plain-int loops then take the word, an ``ndarray`` converted
-    to Python ints first, since numpy scalars would wrap, or raise, under
-    their exact arithmetic.
+    every spec beyond the bound under which the kernel's float64 products
+    are exact (``_power_tables`` is None); the plain-int loops then take
+    the word, an ``ndarray`` converted to Python ints first, since numpy
+    scalars would wrap, or raise, under their exact arithmetic.
     """
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != n={spec.n}")
@@ -309,17 +315,24 @@ def _power_tables(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, tuple] | None
     (b*w + r)**j = sum_k binom(j, k) * (b*w)**(j-k) * r**k.  So the
     n-by-(d-1) table is never stored: ``low[r, k]`` = r**k and
     ``high[b, m]`` = (b*w)**m, both mod p, hold about 2*sqrt(n)*(d-1)
-    entries, and ``binom[j, k]`` = binom(j, k) mod p joins them.  None
-    when an int64 product of a word with these tables, or of the tables
-    with each other, could overflow; the exact plain-int loops serve
-    those specs.
+    entries, and ``binom[j, k]`` = binom(j, k) mod p joins them.
+
+    ``low`` is float64: the word-sized product of a word with ``low``
+    runs in floating-point BLAS (Dumas, Giorgi & Pernet, "Dense linear
+    algebra over word-size prime fields", 2008).  Each partial sum there is
+    an integer of at most w*(q-1)*(p-1), so the product is exact in any
+    summation order, with or without fused multiply-adds, while that stays
+    below 2**53; the root scan keeps its own bound (_position_roots).
+    ``high`` is int64; its products with the word's block sums have B =
+    blocks terms of at most (p-1)**2 and stay below 2**63.  None when
+    either bound fails; the exact plain-int loops serve those specs.
     """
     p, q, n, k = spec.power_modulus, spec.q, spec.n, spec.d - 1
     width = math.isqrt(n) + 1
     blocks = -(-(n + 1) // width)
-    if max(width * (q - 1), blocks * (p - 1), k * (p - 1)) * (p - 1) >= 1 << 63:
+    if width * (q - 1) * (p - 1) >= 1 << 53 or blocks * (p - 1) ** 2 >= 1 << 63:
         return None
-    low = _column_powers(np.arange(width), k, p)
+    low = _column_powers(np.arange(width), k, p).astype(np.float64)
     high = _column_powers(np.arange(blocks) * width, k, p)
     binom = tuple(tuple(math.comb(j, i) % p for i in range(k)) for j in range(k))
     return low, high, binom
@@ -336,14 +349,30 @@ def _column_powers(base: np.ndarray, count: int, p: int) -> np.ndarray:
     return out
 
 
+def _slab_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for float64 matrices, in row slabs of at most _BLAS_SLAB products."""
+    rows = max(1, _BLAS_SLAB // (a.shape[1] * b.shape[1]))
+    if rows >= a.shape[0]:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        np.matmul(a[start : start + rows], b, out=out[start : start + rows])
+    return out
+
+
 def _weighted_sums(arr: np.ndarray, spec: CodeSpec, tables) -> tuple[int, ...]:
-    """sum_i i**j * arr[i-1] mod p for j = 1 .. d-2, through the factored tables."""
+    """sum_i i**j * arr[i-1] mod p for j = 1 .. d-2, through the factored tables.
+
+    The word-sized product runs in float64 and is exact (see _power_tables);
+    the small B-by-(d-1) one stays in int64.
+    """
     low, high, binom = tables
     p = spec.power_modulus
     # Position i sits at row i // w, column i % w.
-    blocked = np.zeros(high.shape[0] * low.shape[0], dtype=np.int64)
+    blocked = np.zeros(high.shape[0] * low.shape[0])
     blocked[1 : spec.n + 1] = arr
-    by_low = blocked.reshape(high.shape[0], -1) @ low % p  # [b, k]: sum_r r**k x_(b*w+r)
+    by_low = _slab_matmul(blocked.reshape(high.shape[0], -1), low).astype(np.int64)
+    by_low %= p  # [b, k]: sum_r r**k x_(b*w+r)
     moments = (high.T @ by_low % p).tolist()  # [m, k]: sum_b (b*w)**m by_low[b, k]
     return tuple(
         sum(binom[j][k] * moments[j - k][k] for k in range(j + 1)) % p
@@ -351,30 +380,45 @@ def _weighted_sums(arr: np.ndarray, spec: CodeSpec, tables) -> tuple[int, ...]:
     )
 
 
-def _evaluate_at_positions(coeffs: list[int], spec: CodeSpec) -> np.ndarray | None:
-    """The polynomial with ascending ``coeffs`` at i = 1 .. n, mod p.
+def _position_roots(coeffs: list[int], spec: CodeSpec) -> list[int] | None:
+    """The positions i = 1 .. n where the polynomial with ascending
+    ``coeffs`` vanishes mod p.
 
     Uses the factored power tables: at i = b*w + r the value is
-    sum_k r**k * sum_m binom(m+k, k) * coeffs[m+k] * (b*w)**m.  None when
-    the tables do not exist or the degree exceeds d-2.  Below n = 64 a
+    sum_k r**k * sum_m binom(m+k, k) * coeffs[m+k] * (b*w)**m.  The inner
+    sums are reduced mod p in int64; the outer product runs in float64 BLAS,
+    where each value v is a sum of len(coeffs) products of residues, an
+    integer of at most len(coeffs)*(p-1)**2, exact while that is below
+    2**53.  p divides v exactly when v == p * rint(v / p), the quotient
+    taken in floating point.  That quotient lies within about 2/p <= 1/32
+    of v/p (p >= n >= 64 here), so rounding recovers v/p whenever it is an
+    integer; otherwise p * m equals v for no integer m, and a product above
+    2**53, which may round, is above v anyway.
+
+    None when the tables do not exist, the degree exceeds d-2 or the bound
+    fails.  The bound takes the polynomial's own length, which for an error
+    locator is at most radius + 1, about half of d-1.  Below n = 64 a
     plain-int scan is faster; callers make that choice.
     """
-    if len(coeffs) > spec.d - 1:
+    p = spec.power_modulus
+    size = len(coeffs)
+    if size > spec.d - 1 or size * (p - 1) ** 2 >= 1 << 53:
         return None
     tables = _power_tables(spec)
     if tables is None:
         return None
     low, high, binom = tables
-    p = spec.power_modulus
-    size = len(coeffs)
     shifted = np.zeros((size, size), dtype=np.int64)  # [m, k]
     for m in range(size):
         for k in range(size - m):
             shifted[m, k] = binom[m + k][k] * (coeffs[m + k] % p) % p
-    by_block = high[:, :size] @ shifted % p
-    values = (by_block @ low[:, :size].T).reshape(-1)[1 : spec.n + 1]
-    values %= p
-    return values
+    by_block = (high[:, :size] @ shifted % p).astype(np.float64)
+    values = _slab_matmul(by_block, low[:, :size].T).reshape(-1)[1 : spec.n + 1]
+    # The one n-sized temporary: a second costs page faults at large n.
+    quotient = values * (1.0 / p)
+    np.rint(quotient, out=quotient)
+    quotient *= p
+    return (np.flatnonzero(values == quotient) + 1).tolist()
 
 
 def _masked_sums(

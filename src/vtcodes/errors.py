@@ -30,8 +30,8 @@ from .core import (
     Word,
     _VECTOR_MIN_LENGTH,
     _as_tuple,
-    _evaluate_at_positions,
     _masked_sums,
+    _position_roots,
     is_codeword,
     validate_offset,
     validate_word,
@@ -213,16 +213,16 @@ def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
 
     Scans the reversed polynomial at k directly, which avoids one modular
     inversion per position.  From n = 64 on that is one vectorised pass
-    over the positions through core's power tables.  A position with
-    locator 0 (only k = n when n equals the prime) can never appear here.
+    over the positions through core's power tables, exact in float64 under
+    a 2**53 bound; specs and locators beyond it scan in plain ints.  A
+    position with locator 0 (only k = n when n equals the prime) can never
+    appear here.
     """
     p = spec.power_modulus
     n = spec.n
     rev = list(reversed(lam))
-    values = _evaluate_at_positions(rev, spec) if n >= _VECTOR_MIN_LENGTH else None
-    if values is not None:
-        roots = (np.flatnonzero(values == 0) + 1).tolist()
-    else:
+    roots = _position_roots(rev, spec) if n >= _VECTOR_MIN_LENGTH else None
+    if roots is None:
         roots = [k for k in range(1, n + 1) if eval_poly_mod(rev, k, p) == 0]
     return [k for k in roots if k % p != 0]
 

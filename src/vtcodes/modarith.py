@@ -5,8 +5,8 @@ caps a modulus below 2**31; it guards only an explicit
 ``CodeSpec.power_modulus``, a ``KeyEquationState`` and the moduli given to
 ``bounds``, not the default one (the least prime >= max(n, q)), which can
 be far larger.  Erasure decoding (``solve_moments``) runs under no cap,
-and the vectorised kernel in ``core`` checks its own int64 bounds and
-falls back to exact ints.
+and the vectorised kernel in ``core`` checks its own float64-exactness
+bound and falls back to exact ints.
 """
 
 from __future__ import annotations

@@ -1,21 +1,24 @@
 """Differential tests of the syndrome kernel against exact integer checksums.
 
 From n = 64 on, a word is converted once to int64 and its weighted sums go
-through small cached tables that factor i**j mod p; below that, and
-wherever an int64 product could overflow (large alphabets), plain-int loops
-run.  These tests
+through small cached tables that factor i**j mod p, with the word-sized
+products in float64, which is exact while every partial sum stays below
+2**53; below n = 64, and for specs beyond that bound (large alphabets or
+moduli), plain-int loops run.  These tests
 draw codes on both sides of each switch and compare every path with the
 residues of ``checksum``, which sums unbounded Python ints.  They also check
+the error decoder's root scan against a plain-int scan next to the bound,
 that every accepted input type decodes to the same tuple, that both
-decoders take alphabets too large for int64 arithmetic, and that a bad
+decoders take alphabets too large for the vectorised kernel, and that a bad
 symbol gets the same message on every path.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtcodes import (
@@ -26,10 +29,12 @@ from vtcodes import (
     decode_erasures,
     decode_errors,
     decode_single_error,
+    errors,
     is_codeword,
     syndrome_profile,
     validate_word,
 )
+from vtcodes.modarith import eval_poly_mod, smallest_prime_geq
 
 
 def exact_profile(word, spec):
@@ -51,8 +56,8 @@ def codes(draw, lengths=LENGTHS, alphabets=("binary", "byte", "bound", "large"))
     elif kind == "byte":
         q = draw(st.integers(3, 256))
     elif kind == "bound":
-        # n*(p-1)*(q-1) crosses 2**63 inside this range, so some draws take
-        # the int64 product and some the exact fallback.
+        # w*(q-1)*(p-1), w = isqrt(n) + 1, crosses 2**53 inside this range,
+        # so some draws take the float64 product and some the exact fallback.
         q = draw(st.integers(2**20, 2**28))
     else:
         q = draw(st.integers(2**31, 2**34))
@@ -78,6 +83,95 @@ def test_profile_and_membership_match_exact_checksums(spec, fill, seed):
     shifted = list(exact)
     shifted[j] = (shifted[j] + 1) % modulus
     assert not is_codeword(word, spec, tuple(shifted))
+
+
+FLOAT_EXACT = 2**53
+
+
+@st.composite
+def near_bound(draw):
+    """A code whose kernel bound lands between 2**51 and 2**57.
+
+    "sums": q and its default prime p near sqrt(2**53 / w), so the word
+    product's w*(q-1)*(p-1) decides; "roots": a small alphabet under a large
+    explicit modulus, so the root scan's bound decides, len*(p-1)**2 for a
+    locator of len = radius + 1 coefficients (a full-radius error pattern).
+    The bound is a worst case (a typical partial sum is about half of it),
+    so the range reaches well above 2**53, where a float64 product rounds.
+    """
+    n = draw(st.sampled_from((64, 65, 1023, 1024)))
+    d = draw(st.integers(3, 9))
+    ratio = 2 ** (draw(st.integers(-2000, 4000)) / 1000)
+    if draw(st.sampled_from(["sums", "roots"])) == "sums":
+        width = math.isqrt(n) + 1
+        return CodeSpec(math.isqrt(int(ratio * FLOAT_EXACT / width)), n, d)
+    locator = (d - 1) // 2 + 1
+    modulus = smallest_prime_geq(math.isqrt(int(ratio * FLOAT_EXACT / locator)))
+    return CodeSpec(draw(st.integers(2, 256)), n, d, power_modulus=modulus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_bound(), st.sampled_from(["random", "top"]), st.integers(0, 2**32))
+# Each bound's last spec below it and first above (w = 33 at n = 1024).
+@example(CodeSpec(16521053, 1024, 9), "top", 1)
+@example(CodeSpec(16521054, 1024, 9), "top", 2)
+@example(CodeSpec(256, 1024, 9, power_modulus=42443351), "top", 3)
+@example(CodeSpec(256, 1024, 9, power_modulus=42443377), "top", 4)
+# About 8 times the bound: a float64 product here does round.
+@example(CodeSpec(46728614, 1024, 9), "top", 5)
+def test_kernel_is_exact_on_both_sides_of_the_float_bound(spec, fill, seed):
+    rng = random.Random(seed)
+    sent = random_word(rng, spec, fill)
+    offset = exact_profile(sent, spec)
+    assert syndrome_profile(sent, spec) == offset
+    assert is_codeword(sent, spec, offset)
+    received = list(sent)
+    for k in rng.sample(range(spec.n), spec.correction_radius):
+        received[k] = (received[k] + rng.randrange(1, spec.q)) % spec.q
+    assert syndrome_profile(received, spec) == exact_profile(received, spec)
+    assert not is_codeword(received, spec, offset)
+    assert_same_tuple(decode_errors(tuple(received), spec, offset), sent)
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Just below the root scan's bound for a polynomial of d-1
+        # coefficients, (d-1)*(p-1)**2 < 2**53.  The float reciprocal of
+        # 33554273 lies below 1/p, so a quotient v * (1/p) falls just under
+        # the integer v/p at most roots: a test that truncates the quotient
+        # instead of rounding it misses them.
+        CodeSpec(2, 1024, 9, power_modulus=33554273),
+        CodeSpec(16, 1000, 17, power_modulus=23726561),
+        CodeSpec(16, 4099, 9),  # n = p
+        CodeSpec(3, 67, 5),  # n = p
+    ],
+    ids=lambda spec: f"q{spec.q}-n{spec.n}-d{spec.d}-p{spec.power_modulus}",
+)
+def test_locator_roots_match_a_plain_int_scan(spec):
+    p, n = spec.power_modulus, spec.n
+    assert core._power_tables(spec) is not None
+    planted = {1, n - 1, n} if n < p else {1, n - 1}
+    rng = random.Random(n)
+    for _ in range(10):
+        # The reversed locator, with roots planted at positions 1, n-1 and n
+        # (n = p has locator 0, which no scan reports) times a random factor.
+        rev = [1]
+        for k in (1, n - 1, n):
+            rev = poly_mul(rev, [-k % p, 1], p)
+        rev = poly_mul(rev, [rng.randrange(p) for _ in range(spec.d - 5)] + [1], p)
+        assert len(rev) == spec.d - 1  # the largest degree the vector scan takes
+        expected = [k for k in range(1, n + 1) if k % p and eval_poly_mod(rev, k, p) == 0]
+        assert planted <= set(expected)
+        assert errors._locator_roots(rev[::-1], spec) == expected
 
 
 def input_forms(word, q):
@@ -198,9 +292,9 @@ def test_erasures_found_in_every_conversion_block(q):
         assert str(info.value) == expected_message(bad, position, q)
 
 def test_large_alphabet_profile_is_exact():
-    # The default modulus here is the least prime above 2**33, so int64
-    # products of a residue and a symbol overflow; the kernel must fall back
-    # to exact ints.
+    # The default modulus here is the least prime above 2**33, so products
+    # of a residue and a symbol pass 2**63, let alone 2**53; the kernel must
+    # fall back to exact ints.
     spec = CodeSpec(2**33, 1024, 6)
     rng = random.Random(2024)
     word = tuple(rng.randrange(spec.q) for _ in range(spec.n))
