@@ -25,8 +25,6 @@ from .bounds import (
     improvement_interval_defect0,
     improvement_interval_defect1,
     is_prime_power,
-    max_defect0_length,
-    max_defect1_length,
     prime_length_report,
     redundancy_upper_bound,
 )
@@ -42,7 +40,6 @@ from .core import (
     format_word,
     hamming_distance,
     is_codeword,
-    iter_offsets,
     parse_offset,
     parse_word,
     syndrome_profile,
@@ -58,17 +55,14 @@ from .errors import (
     centered_lift,
     compute_error_syndrome,
     decode_errors,
-    decode_single_error,
-    decode_single_error_scan,
     locate_and_evaluate,
 )
-from .modarith import eval_poly_mod, inv_mod, is_prime, smallest_prime_geq
+from .modarith import is_prime, smallest_prime_geq
 from .oracle import (
     VerificationReport,
     coset_partition,
     decode_check_sweep,
     distance_sweep,
-    exact_min_distance,
     exhaustive_decode_check,
     partition_check,
 )
@@ -99,12 +93,8 @@ __all__ = [
     "decode_check_sweep",
     "decode_erasures",
     "decode_errors",
-    "decode_single_error",
-    "decode_single_error_scan",
     "distance_sweep",
     "enumerate_codewords",
-    "eval_poly_mod",
-    "exact_min_distance",
     "exhaustive_decode_check",
     "format_offset",
     "format_redundancy",
@@ -113,14 +103,10 @@ __all__ = [
     "hamming_distance",
     "improvement_interval_defect0",
     "improvement_interval_defect1",
-    "inv_mod",
     "is_codeword",
     "is_prime",
     "is_prime_power",
-    "iter_offsets",
     "locate_and_evaluate",
-    "max_defect0_length",
-    "max_defect1_length",
     "parse_offset",
     "parse_word",
     "partition_check",

@@ -88,16 +88,6 @@ def code_size_lower_bound(
     return Fraction(q**n, ((d - 1) * (q - 1) + 1) * p ** (d - 2))
 
 
-def max_defect0_length(q: int) -> int:
-    """Longest q-ary distance-3 linear code meeting the Singleton bound."""
-    return q + 1
-
-
-def max_defect1_length(q: int) -> int:
-    """Longest q-ary distance-3 linear code one off the Singleton bound."""
-    return q * q + q + 1
-
-
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
@@ -120,10 +110,11 @@ def _require_prime_power(q: int) -> None:
 def improvement_interval_defect0(q: int) -> tuple[int, int]:
     """Lengths where the construction needs fewer than 3 redundant symbols.
 
-    Beyond length max_defect0_length(q), q-ary distance-3 linear codes need
-    redundancy at least 3; the construction stays below that for all n in
-    the returned closed interval.  Empty when the low end exceeds the high
-    end (e.g. q=2 yields (4, 1)).
+    Beyond length q+1, the longest q-ary distance-3 linear code meeting the
+    Singleton bound, those codes need redundancy at least 3; the
+    construction stays below that for all n in the returned closed
+    interval.  Empty when the low end exceeds the high end (e.g. q=2 yields
+    (4, 1)).
     """
     _require_prime_power(q)
     return (q + 2, q**3 // (4 * q - 2))
@@ -132,9 +123,9 @@ def improvement_interval_defect0(q: int) -> tuple[int, int]:
 def improvement_interval_defect1(q: int) -> tuple[int, int]:
     """Lengths where the construction needs fewer than 4 redundant symbols.
 
-    Beyond length max_defect1_length(q), distance-3 linear codes need
-    redundancy at least 4.  Same closed-interval convention as the
-    defect-0 variant.
+    Beyond length q**2+q+1, the longest q-ary distance-3 linear code one
+    off the Singleton bound, those codes need redundancy at least 4.  Same
+    closed-interval convention as the defect-0 variant.
     """
     _require_prime_power(q)
     return (q * q + q + 2, q**4 // (4 * q - 2))
@@ -152,41 +143,34 @@ def _integer_root(x: int, e: int) -> int:
         r = smaller
 
 
-def _largest_length(q: int, d: int, denominator_scale: int) -> int:
-    """Largest n with (denominator_scale * n)**(d-2) * sum_modulus <= q**d.
+def _largest_length(q: int, d: int) -> int:
+    """Largest n with n**(d-2) * sum_modulus <= q**d.
 
     For integers a * m0 <= L exactly when a <= L // m0, so the answer is an
     integer root, with no float on the way.
     """
     m0 = (d - 1) * (q - 1) + 1
-    return _integer_root(q**d // m0, d - 2) // denominator_scale
+    return _integer_root(q**d // m0, d - 2)
 
 
-def admissible_prime_lengths(
-    q: int, d: int, *, allow_composite: bool = False
-) -> set[int]:
+def admissible_prime_lengths(q: int, d: int) -> set[int]:
     """Prime lengths n where the construction provably beats linear codes.
 
-    Requires a prime-power q and d >= 3.  A prime length n >= q+2 (q+3
-    for even q, and at least d+2) qualifies when
-    n**(d-2) * sum_modulus <= q**d: taking the prime modulus equal to n
-    keeps the coset count below q**d, while any linear code of the same
-    distance must spend at least d redundant symbols there.  That linear
-    side is the MDS conjecture: a linear MDS code has length at most q+1,
-    or q+2 for even q, where hyperovals give [q+2, q-1, 4] codes.  Ball
-    (2012) proved it for prime q; for other prime powers it stays a
-    conjecture.  With ``allow_composite`` the primality requirement is
-    dropped and the modulus is covered by 2n instead (some prime below 2n
-    always works), shrinking the range accordingly.
+    Requires a prime-power q and d >= 3.  A prime length n >= q+2 (and at
+    least d+2) qualifies when n**(d-2) * sum_modulus <= q**d: taking the
+    prime modulus equal to n keeps the coset count below q**d, while any
+    linear code of the same distance must spend at least d redundant
+    symbols there.  That linear side is the MDS conjecture: a linear MDS
+    code has length at most q+1, or q+2 for even q, where hyperovals give
+    [q+2, q-1, 4] codes.  Ball (2012) proved it for prime q; for other
+    prime powers it stays a conjecture.  For even q the length q+2 is even
+    and so never prime, which keeps the hyperoval length out of the range.
     """
     _require_prime_power(q)
     if d < 3:
         raise ValueError(f"designed distance d={d} must be >= 3")
-    scale = 2 if allow_composite else 1
-    hi = _largest_length(q, d, scale)
-    lo = max(q + 3 if q % 2 == 0 else q + 2, d + 2)
-    if allow_composite:
-        return set(range(lo, hi + 1))
+    hi = _largest_length(q, d)
+    lo = max(q + 2, d + 2)
     return {n for n in range(lo, hi + 1) if is_prime(n)}
 
 

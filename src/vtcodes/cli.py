@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library: check, decode, corrupt,
 bounds, tables, intervals, search, verify.  Machine-readable output is
 available through --records (one JSON object per line).  Exit status is 0
 on success, 1 when a decode fails or a check comes back negative, 2 for
-usage errors and refused budgets.
+usage errors, malformed words and refused budgets.  A word file is read
+line by line: every line is reported, and the status counts the worst.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     ERASURE_MARK,
     BudgetExceededError,
     CodeSpec,
+    Offset,
     Word,
     best_offset_search,
     format_offset,
@@ -35,10 +37,10 @@ from .core import (
     is_codeword,
     parse_offset,
     parse_word,
-    validate_word,
+    validate_offset,
 )
 from .erasure import InconsistentWordError, decode_erasures
-from .errors import UncorrectableError, decode_errors, decode_single_error
+from .errors import UncorrectableError, decode_errors
 from .oracle import (
     decode_check_sweep,
     distance_sweep,
@@ -112,23 +114,56 @@ def _spec_from(args: argparse.Namespace) -> CodeSpec:
     return CodeSpec(args.q, args.n, args.d, power_modulus=args.modulus)
 
 
-def _words_from(args: argparse.Namespace) -> list[tuple[str, Word]]:
-    """Collect input words with a per-word label for messages.
+def _words_from(args: argparse.Namespace):
+    """Yield (label, text) for each input word, in input order.
 
     Inline input yields a single unlabeled word.  A file yields one word
-    per line ('#' starts a comment), labeled by line number.
+    per line ('#' starts a comment), labeled by line number; a byte outside
+    ASCII becomes a symbol that its line's parse rejects.
     """
     if args.word is not None:
-        return [("", parse_word(args.word))]
-    labeled = []
-    with open(args.word_file, encoding="ascii") as handle:
+        yield "", args.word
+        return
+    found = False
+    with open(args.word_file, encoding="ascii", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
             if text:
-                labeled.append((f"word {lineno}: ", parse_word(text)))
-    if not labeled:
+                found = True
+                yield f"word {lineno}: ", text
+    if not found:
         raise ValueError(f"no words found in {args.word_file}")
-    return labeled
+
+
+def _run_batch(args: argparse.Namespace, handle, passed: str, failed: str) -> int:
+    """Call ``handle(label, word)`` on each input word in turn.
+
+    ``handle`` returns False for a negative check.  A word that fails to
+    decode, or a line of a file that is malformed, is reported on stderr,
+    prints nothing to stdout, and the batch goes on; a file batch ends with
+    a summary on stderr.  Exit status 2 if any line was malformed, else 1
+    if any word failed, else 0.  A malformed inline word is a usage error.
+    """
+    counts = {passed: 0, failed: 0, "malformed": 0}
+    for label, text in _words_from(args):
+        try:
+            ok = handle(label, parse_word(text))
+        except (InconsistentWordError, UncorrectableError) as exc:
+            print(f"{label}decode failed: {exc}", file=sys.stderr)
+            ok = False
+        except ValueError as exc:
+            if args.word_file is None:
+                raise
+            print(f"{label}error: {exc}", file=sys.stderr)
+            counts["malformed"] += 1
+            continue
+        counts[passed if ok else failed] += 1
+    if args.word_file is not None:
+        summary = ", ".join(f"{count} {name}" for name, count in counts.items())
+        print(f"summary: {summary}", file=sys.stderr)
+    if counts["malformed"]:
+        return 2
+    return 1 if counts[failed] else 0
 
 
 def _budget_from(args: argparse.Namespace) -> int:
@@ -147,47 +182,48 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
         print(text)
 
 
+def _offset_from(args: argparse.Namespace, spec: CodeSpec) -> Offset:
+    offset = parse_offset(args.offset)
+    validate_offset(offset, spec)
+    return offset
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
-    offset = parse_offset(args.offset)
-    all_members = True
-    for label, word in _words_from(args):
-        validate_word(word, spec)
+    offset = _offset_from(args, spec)
+
+    def check(label: str, word: Word) -> bool:
         member = is_codeword(word, spec, offset)
-        all_members = all_members and member
         verdict = "codeword" if member else "not a codeword"
         _emit(args, {"codeword": member}, f"{label}{verdict}")
-    return 0 if all_members else 1
+        return member
+
+    return _run_batch(args, check, "in the coset", "outside")
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
-    offset = parse_offset(args.offset)
-    for label, word in _words_from(args):
-        erased = any(s is None for s in word)
-        if args.single and erased:
-            raise ValueError("--single applies to substitution errors, not erasures")
-        try:
-            if erased:
-                decoded = decode_erasures(word, spec, offset)
-            elif args.single:
-                decoded = decode_single_error(word, spec, offset)
-            else:
-                decoded = decode_errors(word, spec, offset)
-        except (InconsistentWordError, UncorrectableError) as exc:
-            print(f"{label}decode failed: {exc}", file=sys.stderr)
-            return 1
+    offset = _offset_from(args, spec)
+
+    def decode(label: str, word: Word) -> bool:
+        if any(s is None for s in word):
+            decoded = decode_erasures(word, spec, offset)
+        else:
+            decoded = decode_errors(word, spec, offset)
         changed = sum(1 for before, after in zip(word, decoded) if before != after)
         status = "unchanged" if changed == 0 else f"corrected {changed} position(s)"
         print(f"{label}{status}", file=sys.stderr)
         _emit(args, {"decoded": list(decoded), "changed": changed}, format_word(decoded))
-    return 0
+        return True
+
+    return _run_batch(args, decode, "decoded", "failed")
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     # Each further word from a file advances the seed by one so the damage
     # patterns differ line to line but stay reproducible.
-    for index, (_, word) in enumerate(_words_from(args)):
+    words = [parse_word(text) for _, text in _words_from(args)]
+    for index, word in enumerate(words):
         out = corrupt(
             word,
             args.q,
@@ -350,11 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(sub)
     sub.add_argument("--offset", required=True)
     _add_word_arguments(sub, hint=", '?' for erased positions")
-    sub.add_argument(
-        "--single",
-        action="store_true",
-        help="use the direct single-substitution solver (d = 3 or 4)",
-    )
     sub.set_defaults(handler=_cmd_decode)
 
     sub = commands.add_parser("corrupt", help="deterministically damage a word")

@@ -295,18 +295,6 @@ def checksum(word: Word, j: int) -> int:
     return total
 
 
-@lru_cache(maxsize=128)
-def _position_powers(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
-    """Rows j = 1 .. d-2 of i**j mod power_modulus, for the plain-int loops."""
-    p = spec.power_modulus
-    rows = []
-    prev = tuple(i % p for i in range(1, spec.n + 1))
-    for _ in range(1, spec.d - 1):
-        rows.append(prev)
-        prev = tuple(v * i % p for v, i in zip(prev, range(1, spec.n + 1)))
-    return tuple(rows)
-
-
 @lru_cache(maxsize=8)
 def _power_tables(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, tuple] | None:
     """Factors of the table i**j mod p, for i = 0 .. n and j = 0 .. d-2.
@@ -437,13 +425,15 @@ def _masked_sums(
     p = spec.power_modulus
     plain = 0
     acc = [0] * (spec.d - 2)
-    powers = _position_powers(spec)
-    for idx0, s in enumerate(word):
+    orders = range(spec.d - 2)
+    for i, s in enumerate(word, start=1):
         if not s:
             continue
         plain += s
-        for j, row in enumerate(powers):
-            acc[j] += row[idx0] * s
+        term = s  # s * i**(j+1) mod p at order j
+        for j in orders:
+            term = term * i % p
+            acc[j] += term
     return plain, tuple(a % p for a in acc)
 
 
@@ -472,12 +462,6 @@ def is_codeword(word: Word, spec: CodeSpec, offset: Offset) -> bool:
     if arr is None and isinstance(word, np.ndarray):
         word = word.tolist()
     return _profile_of(word, spec, arr) == tuple(offset)
-
-
-def iter_offsets(spec: CodeSpec):
-    """All offsets in lexicographic order."""
-    ranges = [range(spec.sum_modulus)] + [range(spec.power_modulus)] * (spec.d - 2)
-    return itertools.product(*ranges)
 
 
 def _check_budget(spec: CodeSpec, budget: int) -> None:

@@ -363,74 +363,3 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
             f"no coset member within {radius} substitutions of the received word"
         )
     return result
-
-
-def decode_single_error(received: Word, spec: CodeSpec, offset: Offset) -> Word:
-    """Single-substitution decoder for d in {3, 4}, by direct syndrome solve.
-
-    One substitution of magnitude e at position k moves the plain sum by
-    exactly e (recovered via the centered lift) and the first weighted sum
-    by k*e, so the position falls out of one modular division.
-    """
-    if spec.d not in (3, 4):
-        raise ValueError(f"single-error decoding expects d in {{3, 4}}, got d={spec.d}")
-    shift, tail, arr, received = _syndrome_parts(received, spec, offset)
-    if shift == 0 and not any(tail):
-        return _as_tuple(received)
-    p = spec.power_modulus
-    if shift % p == 0:
-        # Covers shift == 0 with a nonzero weighted syndrome, and any shift
-        # at least the prime in absolute value: impossible for one symbol.
-        raise UncorrectableError("plain-sum shift inconsistent with one substitution")
-    k_res = tail[0] * inv_mod(shift, p) % p
-    if k_res == 0:
-        if spec.n != p:
-            raise UncorrectableError("implied position is outside the word")
-        k = spec.n
-    elif k_res <= spec.n:
-        k = k_res
-    else:
-        raise UncorrectableError("implied position is outside the word")
-    sent = (received if arr is None else arr)[k - 1] - shift
-    if not 0 <= sent < spec.q:
-        raise UncorrectableError("implied magnitude leaves the alphabet")
-    result = _corrected(received, arr, [(k, shift)], spec, offset)
-    if result is None:
-        raise UncorrectableError("corrected word fails the membership check")
-    return result
-
-
-def decode_single_error_scan(received: Word, spec: CodeSpec, offset: Offset) -> Word:
-    """Reference single-error decoder: try every position and symbol.
-
-    Linear-time congruence updates per candidate, O(n*q*d) overall.  Kept
-    for differential testing against the direct solve.
-    """
-    if spec.d not in (3, 4):
-        raise ValueError(f"single-error decoding expects d in {{3, 4}}, got d={spec.d}")
-    validate_offset(offset, spec)
-    arr = validate_word(received, spec)
-    if arr is None and isinstance(received, np.ndarray):
-        received = received.tolist()
-    plain, weighted = _masked_sums(received, spec, arr)
-    if arr is not None:
-        received = arr.tolist()
-    m0 = spec.sum_modulus
-    p = spec.power_modulus
-    r0 = (plain - offset[0]) % m0
-    rest = [(w - offset[j]) % p for j, w in enumerate(weighted, start=1)]
-    if r0 == 0 and not any(rest):
-        return tuple(received)
-    for k in range(1, spec.n + 1):
-        kpow = [pow(k, j, p) for j in range(1, spec.d - 1)]
-        for sym in range(spec.q):
-            if sym == received[k - 1]:
-                continue
-            delta = sym - received[k - 1]
-            if (r0 + delta) % m0 != 0:
-                continue
-            if all((r + kp * delta) % p == 0 for r, kp in zip(rest, kpow)):
-                out = list(received)
-                out[k - 1] = sym
-                return tuple(out)
-    raise UncorrectableError("no single substitution reaches the coset")

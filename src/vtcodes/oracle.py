@@ -26,7 +26,7 @@ from .core import (
     validate_offset,
 )
 from .erasure import InconsistentWordError, decode_erasures
-from .errors import UncorrectableError, decode_errors, decode_single_error
+from .errors import UncorrectableError, decode_errors
 
 DECODE_MODES = ("erasure", "single-error", "multi-error")
 
@@ -59,22 +59,6 @@ def coset_partition(
     for w in itertools.product(range(spec.q), repeat=spec.n):
         buckets.setdefault(syndrome_profile(w, spec), []).append(w)
     return buckets
-
-
-def exact_min_distance(
-    spec: CodeSpec,
-    offset: Offset,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    codewords: list[Word] | None = None,
-) -> int | None:
-    """Smallest pairwise Hamming distance in the coset, None if < 2 words."""
-    if codewords is None:
-        codewords = enumerate_codewords(spec, offset, budget)
-    if len(codewords) < 2:
-        return None
-    return min(
-        hamming_distance(a, b) for a, b in itertools.combinations(codewords, 2)
-    )
 
 
 def partition_check(
@@ -182,9 +166,7 @@ def exhaustive_decode_check(
 
     Modes:
       erasure       all erasure masks of 1..d-1 positions
-      single-error  all single substitutions; for d in {3, 4} both the
-                    direct solver and the general decoder must return the
-                    original and agree
+      single-error  all single substitutions
       multi-error   all substitution patterns of weight 1..correction_radius
                     (requires a radius of at least 2)
     """
@@ -197,6 +179,7 @@ def exhaustive_decode_check(
     if codewords is None:
         codewords = enumerate_codewords(spec, offset, budget)
     name = f"decode:{mode}"
+    weights = (1,) if mode == "single-error" else range(1, spec.correction_radius + 1)
     instances = 0
     for x in codewords:
         if mode == "erasure":
@@ -214,28 +197,7 @@ def exhaustive_decode_check(
                         name, spec, instances, False, (offset, x, positions, got),
                         "filled erasures with a different word",
                     )
-        elif mode == "single-error":
-            dual = spec.d in (3, 4)
-            for positions, corrupted in _error_cases(x, spec, weights=(1,)):
-                instances += 1
-                try:
-                    got = decode_errors(corrupted, spec, offset)
-                    got_direct = (
-                        decode_single_error(corrupted, spec, offset) if dual else got
-                    )
-                except UncorrectableError as exc:
-                    return VerificationReport(
-                        name, spec, instances, False, (offset, x, positions),
-                        f"rejected as uncorrectable: {exc}",
-                    )
-                if got != x or got_direct != x:
-                    return VerificationReport(
-                        name, spec, instances, False,
-                        (offset, x, positions, got, got_direct),
-                        "decoded to a different word",
-                    )
         else:
-            weights = range(1, spec.correction_radius + 1)
             for positions, corrupted in _error_cases(x, spec, weights):
                 instances += 1
                 try:

@@ -24,12 +24,7 @@ from vtcodes.bounds import (
 from vtcodes.cli import corrupt, main
 from vtcodes.core import CodeSpec, best_offset_search, syndrome_profile
 from vtcodes.erasure import InconsistentWordError, decode_erasures
-from vtcodes.errors import (
-    UncorrectableError,
-    decode_errors,
-    decode_single_error,
-    decode_single_error_scan,
-)
+from vtcodes.errors import UncorrectableError, decode_errors
 from vtcodes.oracle import (
     decode_check_sweep,
     distance_sweep,
@@ -248,7 +243,7 @@ def test_08_erasure_decoding_exhaustive():
 def test_09_substitution_decoding_exhaustive():
     start = time.perf_counter()
     total = 0
-    # single substitutions: both decoders must return the sent word
+    # single substitutions: the decoder must return the sent word
     for q, n, d in SMALL_GRID:
         report = decode_check_sweep(CodeSpec(q, n, d), "single-error")
         assert report.passed, report
@@ -280,7 +275,6 @@ def test_10_decoder_soundness_complete():
     assert members == [(0, 0, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1)]
     spec = CodeSpec(2, 5, 3)
     offset = (0, 0)
-    decoders = (decode_single_error, decode_single_error_scan, decode_errors)
 
     for w in itertools.product(range(2), repeat=5):
         dist = min(sum(a != b for a, b in zip(w, m)) for m in members)
@@ -288,12 +282,10 @@ def test_10_decoder_soundness_complete():
             target = next(
                 m for m in members if sum(a != b for a, b in zip(w, m)) == dist
             )
-            for decoder in decoders:
-                assert decoder(w, spec, offset) == target
+            assert decode_errors(w, spec, offset) == target
         else:
-            for decoder in decoders:
-                with pytest.raises(UncorrectableError):
-                    decoder(w, spec, offset)
+            with pytest.raises(UncorrectableError):
+                decode_errors(w, spec, offset)
 
     erasure_cases = 0
     for w in itertools.product(range(2), repeat=5):

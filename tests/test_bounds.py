@@ -13,8 +13,6 @@ from vtcodes.bounds import (
     improvement_interval_defect0,
     improvement_interval_defect1,
     is_prime_power,
-    max_defect0_length,
-    max_defect1_length,
     prime_length_report,
     redundancy_upper_bound,
 )
@@ -71,13 +69,6 @@ def test_code_size_lower_bound():
     assert value == Fraction(4**22, 7 * 23)
 
 
-def test_defect_thresholds():
-    assert max_defect0_length(4) == 5
-    assert max_defect1_length(4) == 21
-    assert max_defect0_length(9) == 10
-    assert max_defect1_length(9) == 91
-
-
 def test_is_prime_power():
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 17, 25, 27, 32, 49, 121, 125, 128):
         assert is_prime_power(q)
@@ -122,27 +113,25 @@ def test_admissible_prime_lengths_known_answers():
     assert admissible_prime_lengths(4, 3) == {7}
 
 
-def test_admissible_lengths_composite_variant():
-    assert admissible_prime_lengths(9, 3, allow_composite=True) == set(range(11, 22))
-    # the prime-only range reaches further because the modulus is n itself
-    assert max(admissible_prime_lengths(9, 3)) == 41
+def test_admissible_lengths_are_prime():
+    lengths = admissible_prime_lengths(9, 3)
+    assert min(lengths) == 11 and max(lengths) == 41
+    assert lengths == {n for n in range(11, 42) if smallest_prime_geq(n) == n}
     with pytest.raises(ValueError):
         admissible_prime_lengths(6, 3)
 
 
-
 def test_admissible_lengths_skip_hyperoval_length_for_even_q():
     # For even q a hyperoval gives a linear [q+2, q-1, 4] code, so length
-    # q+2 at d = 4 is no gain over linear codes; composite lengths start at
-    # q+3.  The redundancy bound alone would admit q+2.
+    # q+2 at d = 4 is no gain over linear codes.  The redundancy bound alone
+    # would admit q+2, which is even and so never a prime length.
     for q in (16, 32, 64):
         m0 = 3 * (q - 1) + 1
         assert (q + 2) ** 2 * m0 <= q**4
-        lengths = admissible_prime_lengths(q, 4, allow_composite=True)
+        lengths = admissible_prime_lengths(q, 4)
         assert q + 2 not in lengths
         assert all(n >= q + 3 for n in lengths)
-        assert q + 2 not in admissible_prime_lengths(q, 4)
-    assert min(admissible_prime_lengths(32, 4, allow_composite=True)) == 35
+    assert min(admissible_prime_lengths(32, 4)) == 37
 
 def test_admissible_lengths_beyond_float_range():
     # q**d = 2**1100 does not fit a float; the length bound is an exact
@@ -161,12 +150,6 @@ def test_admissible_lengths_beyond_float_range():
         n += 1
     assert expected  # the range is not empty
     assert admissible_prime_lengths(q, d) == expected
-    # With a composite n the modulus is covered by 2n.
-    half = 1
-    while (2 * (half + 1)) ** (d - 2) * m0 <= q**d:
-        half += 1
-    composite = admissible_prime_lengths(q, d, allow_composite=True)
-    assert composite == set(range(max(q + 2, d + 2), half + 1))
 
 
 def test_admissible_lengths_meet_their_guarantee():

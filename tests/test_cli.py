@@ -79,11 +79,15 @@ def test_cli_decode_erasures(capsys):
 
 
 def test_cli_decode_errors(capsys):
-    for extra in ([], ["--single"]):
-        rc = main(["decode", "--q", "2", "--n", "5", "--d", "3",
-                   "--offset", "0,0", "--word", "1,0,1,1,1"] + extra)
-        assert rc == 0
-        assert capsys.readouterr().out.strip() == "1,0,0,1,1"
+    rc = main(["decode", "--q", "2", "--n", "5", "--d", "3",
+               "--offset", "0,0", "--word", "1,0,1,1,1"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "1,0,0,1,1"
+    with pytest.raises(SystemExit) as caught:
+        main(["decode", "--q", "2", "--n", "5", "--d", "3",
+              "--offset", "0,0", "--word", "1,0,1,1,1", "--single"])
+    assert caught.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_decode_failure(capsys):
@@ -262,15 +266,57 @@ def test_cli_decode_word_file(tmp_path, capsys):
     assert "word 4: unchanged" in captured.err
 
 
-def test_cli_decode_word_file_stops_at_first_failure(tmp_path, capsys):
+def test_cli_decode_word_file_goes_on_after_a_failure(tmp_path, capsys):
     path = tmp_path / "words.txt"
     path.write_text("1,0,0,1,1\n1,1,1,1,0\n0,1,1,0,1\n")
     rc = main(["decode", "--q", "2", "--n", "5", "--d", "3",
                "--offset", "0,0", "--word-file", str(path)])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == ["1,0,0,1,1"]
+    assert captured.out.splitlines() == ["1,0,0,1,1", "0,1,1,0,1"]
     assert "word 2: decode failed" in captured.err
+    assert "word 3: unchanged" in captured.err
+    assert captured.err.splitlines()[-1] == "summary: 2 decoded, 1 failed, 0 malformed"
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["text", "records"])
+def test_cli_word_file_reports_every_line(tmp_path, capsys, records):
+    # Good, malformed, undecodable: every line is reported in order, and a
+    # line that fails prints nothing to stdout.
+    path = tmp_path / "words.txt"
+    path.write_text("1,0,1,1,1\n1,0,9,1,1\n1,1,1,1,0\n")
+    prefix = ["--records"] if records else []
+    spec = ["--q", "2", "--n", "5", "--d", "3", "--offset", "0,0"]
+    rc = main(prefix + ["decode", *spec, "--word-file", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    if records:
+        assert [json.loads(line) for line in out] == [
+            {"decoded": [1, 0, 0, 1, 1], "changed": 1}
+        ]
+    else:
+        assert out == ["1,0,0,1,1"]
+    assert captured.err.splitlines() == [
+        "word 1: corrected 1 position(s)",
+        "word 2: error: symbol 9 at position 3 outside [0, 1]",
+        "word 3: decode failed: no coset member within 1 substitutions"
+        " of the received word",
+        "summary: 1 decoded, 1 failed, 1 malformed",
+    ]
+
+    rc = main(prefix + ["check", *spec, "--word-file", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    if records:
+        assert [json.loads(line) for line in out] == [{"codeword": False}] * 2
+    else:
+        assert out == ["word 1: not a codeword", "word 3: not a codeword"]
+    assert captured.err.splitlines() == [
+        "word 2: error: symbol 9 at position 3 outside [0, 1]",
+        "summary: 0 in the coset, 2 outside, 1 malformed",
+    ]
 
 
 def test_cli_check_word_file_flags_any_outsider(tmp_path, capsys):
@@ -317,3 +363,11 @@ def test_cli_word_file_problems_are_usage_errors(tmp_path, capsys):
                "--offset", "0,0", "--word-file", str(empty)])
     assert rc == 2
     assert "no words" in capsys.readouterr().err
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"1,0,0,1,1\n1,\xff,0,1,1\n")
+    rc = main(["check", "--q", "2", "--n", "5", "--d", "3",
+               "--offset", "0,0", "--word-file", str(binary)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["word 1: codeword"]
+    assert "word 2: error: bad symbol" in captured.err

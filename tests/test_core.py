@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
+import types
 
 import pytest
 
+import vtcodes
 from vtcodes.core import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -14,7 +17,6 @@ from vtcodes.core import (
     format_word,
     hamming_distance,
     is_codeword,
-    iter_offsets,
     parse_offset,
     parse_word,
     syndrome_profile,
@@ -159,15 +161,6 @@ def test_is_codeword():
     assert is_codeword((1, 1, 1, 1, 1), spec, (2, 0))
 
 
-def test_iter_offsets():
-    spec = CodeSpec(2, 5, 3)
-    offsets = list(iter_offsets(spec))
-    assert len(offsets) == 15
-    assert offsets[0] == (0, 0)
-    assert offsets[-1] == (2, 4)
-    assert offsets == sorted(offsets)
-
-
 def test_enumerate_codewords_known_coset():
     spec = CodeSpec(2, 5, 3)
     words = enumerate_codewords(spec, (0, 0))
@@ -189,17 +182,15 @@ def test_enumeration_budget_refusal():
 
 def test_cosets_partition_the_cube():
     spec = CodeSpec(2, 5, 3)
+    offsets = list(itertools.product(range(spec.sum_modulus), range(spec.power_modulus)))
+    assert len(offsets) == spec.offset_space_size == 15
     seen = 0
-    for offset in iter_offsets(spec):
+    for offset in offsets:
         seen += len(enumerate_codewords(spec, offset))
     assert seen == 2**5
     # spot-check one word lands in exactly one coset
     word = (1, 1, 0, 1, 0)
-    homes = [
-        offset
-        for offset in iter_offsets(spec)
-        if is_codeword(word, spec, offset)
-    ]
+    homes = [offset for offset in offsets if is_codeword(word, spec, offset)]
     assert homes == [syndrome_profile(word, spec)]
 
 
@@ -240,3 +231,41 @@ def test_search_at_the_shortest_admissible_length():
     # n equal to d still partitions into nonempty pieces
     _, size = best_offset_search(CodeSpec(2, 3, 3))
     assert size >= 1
+
+
+# The names the benchmark harness reads from the package root: its tracer's
+# call sites, its layer probes and its workloads.  Without one a workload
+# fails or a traced metric reads null, which tests/test_bench_output.py
+# catches only after several seconds.
+PERFBENCH_NAMES = (
+    "CodeSpec", "InconsistentWordError", "KeyEquationState", "UncorrectableError",
+    "berlekamp_massey", "best_offset_search", "compute_error_syndrome",
+    "coset_partition", "decode_check_sweep", "decode_erasures", "decode_errors",
+    "distance_sweep", "format_word", "is_codeword", "locate_and_evaluate",
+    "parse_word", "partition_check", "syndrome_profile",
+)
+
+
+def test_public_surface():
+    assert sorted(vtcodes.__all__) == [
+        "BoundRow", "BudgetExceededError", "CodeSpec", "DEFAULT_ENUMERATION_BUDGET",
+        "ERASURE_MARK", "ErrorVector", "InconsistentWordError", "KeyEquationState",
+        "LengthBound", "LinearBaseline", "UncorrectableError", "VerificationReport",
+        "admissible_prime_lengths", "berlekamp_massey", "best_offset_search",
+        "centered_lift", "checksum", "code_size_lower_bound", "compute_error_syndrome",
+        "coset_partition", "decode_check_sweep", "decode_erasures", "decode_errors",
+        "distance_sweep", "enumerate_codewords", "exhaustive_decode_check",
+        "format_offset", "format_redundancy", "format_word", "generate_table",
+        "hamming_distance", "improvement_interval_defect0",
+        "improvement_interval_defect1", "is_codeword", "is_prime", "is_prime_power",
+        "locate_and_evaluate", "parse_offset", "parse_word", "partition_check",
+        "prime_length_report", "redundancy_upper_bound", "smallest_prime_geq",
+        "syndrome_profile", "validate_offset", "validate_word",
+    ]
+    public = {
+        name
+        for name, value in vars(vtcodes).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(vtcodes.__all__)
+    assert set(PERFBENCH_NAMES) <= set(vtcodes.__all__)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vtcodes.core import CodeSpec, checksum, enumerate_codewords, iter_offsets, parse_word, syndrome_profile
+from vtcodes.core import CodeSpec, checksum, enumerate_codewords, parse_word, syndrome_profile
 from vtcodes.erasure import InconsistentWordError, decode_erasures
 from vtcodes.modarith import smallest_prime_geq
 
@@ -146,7 +146,7 @@ def test_rejection_matches_brute_force_over_fillings():
                 for i in positions:
                     masked[i] = None
                 masked_words.add(tuple(masked))
-    offsets = list(iter_offsets(spec))
+    offsets = list(itertools.product(range(spec.sum_modulus), range(spec.power_modulus)))
     for masked in masked_words:
         erased = [i for i, s in enumerate(masked) if s is None]
         profiles = {}

@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcodes.core import (
     CodeSpec,
     enumerate_codewords,
     hamming_distance,
     is_codeword,
-    iter_offsets,
     parse_word,
     syndrome_profile,
 )
@@ -20,10 +21,51 @@ from vtcodes.errors import (
     centered_lift,
     compute_error_syndrome,
     decode_errors,
-    decode_single_error,
-    decode_single_error_scan,
     locate_and_evaluate,
 )
+from vtcodes.modarith import smallest_prime_geq
+
+
+def exact_profile(word, spec):
+    return (
+        sum(word) % spec.sum_modulus,
+        *(
+            sum(i**j * s for i, s in enumerate(word, start=1)) % spec.power_modulus
+            for j in range(1, spec.d - 1)
+        ),
+    )
+
+
+def _scan_decode(received, spec, offset):
+    """Reference decoder for d in {3, 4}: try every single substitution.
+
+    Works on exact integer checksums, apart from the package's syndrome
+    kernel and decoder: O(n*q*d) per word.
+    """
+    m0, p = spec.sum_modulus, spec.power_modulus
+    r0, *rest = exact_profile(received, spec)
+    r0 = (r0 - offset[0]) % m0
+    rest = [(v - b) % p for v, b in zip(rest, offset[1:])]
+    if r0 == 0 and not any(rest):
+        return tuple(received)
+    for k in range(1, spec.n + 1):
+        kpow = [pow(k, j, p) for j in range(1, spec.d - 1)]
+        for sym in range(spec.q):
+            delta = sym - received[k - 1]
+            if delta == 0 or (r0 + delta) % m0:
+                continue
+            if all((r + kp * delta) % p == 0 for r, kp in zip(rest, kpow)):
+                out = list(received)
+                out[k - 1] = sym
+                return tuple(out)
+    raise UncorrectableError("no single substitution reaches the coset")
+
+
+def _decoded_or_none(decoder, received, spec, offset):
+    try:
+        return decoder(received, spec, offset)
+    except UncorrectableError:
+        return None
 
 
 def test_centered_lift():
@@ -126,14 +168,14 @@ def test_locate_and_evaluate_rejects_rootless_locator():
 
 def test_decode_single_error_known_answer():
     spec = CodeSpec(2, 5, 3)
-    got = decode_single_error(parse_word("1,0,1,1,1"), spec, (0, 0))
+    got = decode_errors(parse_word("1,0,1,1,1"), spec, (0, 0))
     assert got == (1, 0, 0, 1, 1)
-    assert decode_errors(parse_word("1,0,1,1,1"), spec, (0, 0)) == got
+    assert _scan_decode(parse_word("1,0,1,1,1"), spec, (0, 0)) == got
 
 
 def test_uncorrectable_known_answer():
     spec = CodeSpec(2, 5, 3)
-    for decoder in (decode_single_error, decode_single_error_scan, decode_errors):
+    for decoder in (_scan_decode, decode_errors):
         with pytest.raises(UncorrectableError):
             decoder(parse_word("1,1,1,1,0"), spec, (0, 0))
 
@@ -141,7 +183,6 @@ def test_uncorrectable_known_answer():
 def test_clean_word_passes_through():
     spec = CodeSpec(2, 5, 3)
     word = (0, 1, 1, 0, 1)
-    assert decode_single_error(word, spec, (0, 0)) == word
     assert decode_errors(word, spec, (0, 0)) == word
 
 
@@ -151,9 +192,8 @@ def test_error_at_final_position_with_length_equal_to_modulus():
     spec = CodeSpec(2, 5, 3)
     sent = (1, 0, 0, 1, 1)
     received = (1, 0, 0, 1, 0)
-    assert decode_single_error(received, spec, (0, 0)) == sent
     assert decode_errors(received, spec, (0, 0)) == sent
-    assert decode_single_error_scan(received, spec, (0, 0)) == sent
+    assert _scan_decode(received, spec, (0, 0)) == sent
 
 
 def test_two_errors_with_one_at_final_position():
@@ -172,26 +212,16 @@ def test_two_errors_with_one_at_final_position():
 
 def test_single_error_exhaustive_small():
     spec = CodeSpec(3, 5, 3)
-    for offset in iter_offsets(spec):
+    offsets = itertools.product(range(spec.sum_modulus), range(spec.power_modulus))
+    for offset in offsets:
         for word in enumerate_codewords(spec, offset):
             for k in range(spec.n):
                 for bump in (1, 2):
                     received = list(word)
                     received[k] = (received[k] + bump) % spec.q
                     received = tuple(received)
-                    assert decode_single_error(received, spec, offset) == word
                     assert decode_errors(received, spec, offset) == word
-                    assert decode_single_error_scan(received, spec, offset) == word
-
-
-def test_single_error_decoders_require_low_distance():
-    spec = CodeSpec(3, 7, 5)
-    word = (0,) * 7
-    offset = syndrome_profile(word, spec)
-    with pytest.raises(ValueError):
-        decode_single_error(word, spec, offset)
-    with pytest.raises(ValueError):
-        decode_single_error_scan(word, spec, offset)
+                    assert _scan_decode(received, spec, offset) == word
 
 
 def test_multi_error_round_trips():
@@ -243,12 +273,48 @@ def test_scan_and_direct_agree_on_non_codewords():
     spec = CodeSpec(2, 5, 3)
     offset = (0, 0)
     for received in itertools.product(range(2), repeat=5):
-        try:
-            direct = decode_single_error(received, spec, offset)
-        except UncorrectableError:
-            direct = None
-        try:
-            scanned = decode_single_error_scan(received, spec, offset)
-        except UncorrectableError:
-            scanned = None
-        assert direct == scanned
+        assert _decoded_or_none(decode_errors, received, spec, offset) == (
+            _decoded_or_none(_scan_decode, received, spec, offset)
+        )
+
+
+# Bounds the scan's n*q candidates per word, which keeps the test under a second.
+_SCAN_CELLS = 12_000
+
+
+@st.composite
+def radius_one_specs(draw):
+    """d in {3, 4} at n = p and n < p, n from 5 to 300 (both sides of the
+    vectorised switch at n = 64), q from 2 to beyond n under _SCAN_CELLS."""
+    d = draw(st.sampled_from((3, 4)))
+    if draw(st.booleans()):
+        n = smallest_prime_geq(draw(st.integers(5, 293)))
+        q = draw(st.integers(2, min(n, _SCAN_CELLS // n)))
+        spec = CodeSpec(q, n, d)
+        assert spec.power_modulus == n
+        return spec
+    n = draw(st.integers(5, 300))
+    q = draw(st.integers(2, _SCAN_CELLS // n))
+    modulus = smallest_prime_geq(max(n + 1, q))
+    return CodeSpec(q, n, d, power_modulus=modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius_one_specs(), st.integers(0, 2), st.booleans(), st.integers(0, 2**32))
+def test_decoder_matches_the_scan_beyond_the_small_grid(spec, count, at_end, seed):
+    rng = random.Random(seed)
+    sent = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+    offset = exact_profile(sent, spec)
+    received = list(sent)
+    # Position n, which has locator 0 when n = p, is hit in half the draws.
+    if count and at_end:
+        positions = rng.sample(range(spec.n - 1), count - 1) + [spec.n - 1]
+    else:
+        positions = rng.sample(range(spec.n), count)
+    for k in positions:
+        received[k] = (received[k] + rng.randrange(1, spec.q)) % spec.q
+    received = tuple(received)
+    got = _decoded_or_none(decode_errors, received, spec, offset)
+    assert got == _decoded_or_none(_scan_decode, received, spec, offset)
+    if count <= 1:
+        assert got == sent

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from vtcodes.core import BudgetExceededError, CodeSpec, syndrome_profile
@@ -5,7 +7,6 @@ from vtcodes.oracle import (
     coset_partition,
     decode_check_sweep,
     distance_sweep,
-    exact_min_distance,
     exhaustive_decode_check,
     partition_check,
 )
@@ -41,13 +42,14 @@ def test_partition_check():
 
 
 def test_exact_min_distance():
-    spec = CodeSpec(2, 5, 3)
-    assert exact_min_distance(spec, (0, 0)) == 3
-    # a singleton or empty coset has no distance
+    report = distance_sweep(CodeSpec(2, 5, 3))
+    assert report.detail == "smallest pairwise distance observed: 3"
+    # a singleton coset has no pair to measure
     spec4 = CodeSpec(2, 5, 4)
     buckets = coset_partition(spec4)
-    small = next(k for k, v in buckets.items() if len(v) < 2)
-    assert exact_min_distance(spec4, small) is None
+    assert any(len(words) == 1 for words in buckets.values())
+    report = distance_sweep(spec4)
+    assert report.instances == sum(math.comb(len(w), 2) for w in buckets.values())
 
 
 def test_distance_sweep():
