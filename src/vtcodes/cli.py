@@ -11,6 +11,7 @@ line by line: every line is reported, and the status counts the worst.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -135,19 +136,20 @@ def _words_from(args: argparse.Namespace):
         raise ValueError(f"no words found in {args.word_file}")
 
 
-def _run_batch(args: argparse.Namespace, handle, passed: str, failed: str) -> int:
-    """Call ``handle(label, word)`` on each input word in turn.
+def _run_batch(args: argparse.Namespace, handle, passed: str, failed: str | None) -> int:
+    """Call ``handle(label, text)`` on each input word in turn.
 
-    ``handle`` returns False for a negative check.  A word that fails to
-    decode, or a line of a file that is malformed, is reported on stderr,
-    prints nothing to stdout, and the batch goes on; a file batch ends with
-    a summary on stderr.  Exit status 2 if any line was malformed, else 1
-    if any word failed, else 0.  A malformed inline word is a usage error.
+    ``handle`` parses the word and returns False for a negative check.  A
+    word that fails to decode, or a line of a file that is malformed, is
+    reported on stderr, prints nothing to stdout, and the batch goes on; a
+    file batch ends with a summary on stderr, which leaves out ``failed``
+    where it is None.  Exit status 2 if any line was malformed, else 1 if
+    any word failed, else 0.  A malformed inline word is a usage error.
     """
     counts = {passed: 0, failed: 0, "malformed": 0}
     for label, text in _words_from(args):
         try:
-            ok = handle(label, parse_word(text))
+            ok = handle(label, text)
         except (InconsistentWordError, UncorrectableError) as exc:
             print(f"{label}decode failed: {exc}", file=sys.stderr)
             ok = False
@@ -159,7 +161,7 @@ def _run_batch(args: argparse.Namespace, handle, passed: str, failed: str) -> in
             continue
         counts[passed if ok else failed] += 1
     if args.word_file is not None:
-        summary = ", ".join(f"{count} {name}" for name, count in counts.items())
+        summary = ", ".join(f"{count} {name}" for name, count in counts.items() if name)
         print(f"summary: {summary}", file=sys.stderr)
     if counts["malformed"]:
         return 2
@@ -192,8 +194,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     offset = _offset_from(args, spec)
 
-    def check(label: str, word: Word) -> bool:
-        member = is_codeword(word, spec, offset)
+    def check(label: str, text: str) -> bool:
+        member = is_codeword(parse_word(text), spec, offset)
         verdict = "codeword" if member else "not a codeword"
         _emit(args, {"codeword": member}, f"{label}{verdict}")
         return member
@@ -205,7 +207,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     offset = _offset_from(args, spec)
 
-    def decode(label: str, word: Word) -> bool:
+    def decode(label: str, text: str) -> bool:
+        word = parse_word(text)
         if any(s is None for s in word):
             decoded = decode_erasures(word, spec, offset)
         else:
@@ -220,20 +223,21 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    # Each further word from a file advances the seed by one so the damage
-    # patterns differ line to line but stay reproducible.
-    words = [parse_word(text) for _, text in _words_from(args)]
-    for index, word in enumerate(words):
+    # Each further word from a file advances the seed by one, a malformed
+    # one too, so the damage patterns differ line to line but stay
+    # reproducible.
+    seeds = itertools.count(args.seed)
+
+    def damage(label: str, text: str) -> bool:
+        seed = next(seeds)
         out = corrupt(
-            word,
-            args.q,
-            erasures=args.erasures,
-            errors=args.errors,
-            seed=args.seed + index,
+            parse_word(text), args.q, erasures=args.erasures, errors=args.errors, seed=seed
         )
         record = {"corrupted": [ERASURE_MARK if s is None else s for s in out]}
         _emit(args, record, format_word(out))
-    return 0
+        return True
+
+    return _run_batch(args, damage, "corrupted", None)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

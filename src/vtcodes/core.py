@@ -39,6 +39,12 @@ _BLOCK = 1024
 # for the syndrome product inside a decode), so word-sized products are
 # issued in row slabs of at most this size.
 _BLAS_SLAB = 1 << 18
+# Float64 entries in one slab of block rows (64 KB).  The word-sized
+# products run slab by slab through per-call buffers of this size, so a
+# decode allocates no float64 array as long as the word; large temporaries
+# that glibc gives back to the OS after each call cost page faults on the
+# next.
+_SLAB_ENTRIES = 1 << 13
 
 Word = tuple
 Offset = tuple
@@ -148,11 +154,15 @@ def validate_word(
     [0, q-1], with None at erased positions where ``allow_erasures``.  From
     n = 64 on, and for every ``ndarray``, the word is converted once and
     returned as an int64 array, erased positions holding -1, for the
-    vectorised syndrome kernel.  None is returned below n = 64 and for
-    every spec beyond the bound under which the kernel's float64 products
-    are exact (``_power_tables`` is None); the plain-int loops then take
-    the word, an ``ndarray`` converted to Python ints first, since numpy
-    scalars would wrap, or raise, under their exact arithmetic.
+    vectorised syndrome kernel.  That array is always a new one that the
+    caller owns and may write into: an integer ``ndarray`` input is copied
+    (``astype(np.int64)``), never returned or viewed, so a decoder that
+    patches the array leaves its input unchanged.  None is returned below
+    n = 64 and for every spec beyond the bound under which the kernel's
+    float64 products are exact (``_power_tables`` is None); the plain-int
+    loops then take the word, an ``ndarray`` converted to Python ints
+    first, since numpy scalars would wrap, or raise, under their exact
+    arithmetic.
     """
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != n={spec.n}")
@@ -195,56 +205,66 @@ def validate_word(
 
 
 def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, list[int]] | None:
-    """The word as an int64 array, erased positions 0, with those positions.
+    """The word as a new int64 array, erased positions 0, with those positions.
 
     None when a symbol is not an integer that fits the conversion, or is an
-    erasure where none is allowed.  A one-dimensional integer ``ndarray``
-    may come back as itself; it has no erasures, so callers never write
-    into it.
+    erasure where none is allowed.  An integer ``ndarray`` is copied.
 
     Symbols go through a typed buffer, ``bytearray`` when q <= 256 and
     ``array("q")`` above.  Both take only integers (through __index__) and
     raise TypeError on anything else, so floats are never truncated; out of
-    their range they raise ValueError or OverflowError.  The word converts
-    in blocks of ``_BLOCK`` symbols, and only a block that raises TypeError
-    is searched for None, so a few erasures cost a few block scans.
+    their range they raise ValueError or OverflowError.  Without erasures
+    the whole word converts in one call.  A word that may hold erasures
+    converts in blocks of ``_BLOCK`` symbols instead, and only a block that
+    raises TypeError is searched for None, so a few erasures cost a few
+    block scans; one call tried first would fail on every such word and
+    cost a second pass.
     """
     if isinstance(word, np.ndarray):
         if word.ndim == 1 and word.dtype.kind in "iu":
-            return word.astype(np.int64, copy=False), []
+            return word.astype(np.int64), []
         word = word.tolist()
     elif isinstance(word, (bytes, bytearray)):
         return np.frombuffer(word, dtype=np.uint8).astype(np.int64), []
-    n = len(word)
     wide = q > 256
+    try:
+        if allow_erasures:
+            buf, erased = _convert_blocks(word, wide)
+        else:
+            buf, erased = array("q", word) if wide else bytearray(word), []
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return np.frombuffer(buf, dtype=np.int64 if wide else np.uint8).astype(np.int64, copy=False), erased
+
+
+def _convert_blocks(word: Word, wide: bool) -> tuple[array | bytearray, list[int]]:
+    """_as_int64's typed buffer for a word that may hold erasures, block by
+    block, with the 0-based erased positions (written as 0)."""
+    n = len(word)
     buf = array("q", bytes(8 * n)) if wide else bytearray(n)
 
     def put(start: int, symbols) -> None:
         buf[start : start + len(symbols)] = array("q", symbols) if wide else symbols
 
     erased: list[int] = []
-    try:
-        for start in range(0, n, _BLOCK):
-            block = word[start : start + _BLOCK]
-            try:
-                put(start, block)
-                continue
-            except TypeError:
-                if not allow_erasures:
-                    return None
-            block = list(block)
-            hits: list[int] = []
-            try:
-                while True:
-                    hits.append(block.index(None, hits[-1] + 1 if hits else 0))
-                    block[hits[-1]] = 0
-            except ValueError:
-                pass
+    for start in range(0, n, _BLOCK):
+        block = word[start : start + _BLOCK]
+        try:
             put(start, block)
-            erased.extend(start + i for i in hits)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return np.frombuffer(buf, dtype=np.int64 if wide else np.uint8).astype(np.int64, copy=False), erased
+            continue
+        except TypeError:
+            pass
+        block = list(block)
+        hits: list[int] = []
+        try:
+            while True:
+                hits.append(block.index(None, hits[-1] + 1 if hits else 0))
+                block[hits[-1]] = 0
+        except ValueError:
+            pass
+        put(start, block)
+        erased.extend(start + i for i in hits)
+    return buf, erased
 
 
 def _as_tuple(word: Word, arr: np.ndarray | None = None, changed=()) -> Word:
@@ -307,10 +327,13 @@ def _power_tables(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, tuple] | None
 
     ``low`` is float64: the word-sized product of a word with ``low``
     runs in floating-point BLAS (Dumas, Giorgi & Pernet, "Dense linear
-    algebra over word-size prime fields", 2008).  Each partial sum there is
-    an integer of at most w*(q-1)*(p-1), so the product is exact in any
-    summation order, with or without fused multiply-adds, while that stays
-    below 2**53; the root scan keeps its own bound (_position_roots).
+    algebra over word-size prime fields", 2008), one slab of block rows
+    at a time (_slab_rows), so no float64 copy of the whole word is made.
+    Each partial sum there is an integer of at most w*(q-1)*(p-1), so the
+    product is exact in any summation order, with or without fused
+    multiply-adds, while that stays below 2**53; the argument holds row by
+    row, so splitting the rows into slabs keeps it.  The root scan keeps
+    its own bound (_position_roots).
     ``high`` is int64; its products with the word's block sums have B =
     blocks terms of at most (p-1)**2 and stay below 2**63.  None when
     either bound fails; the exact plain-int loops serve those specs.
@@ -337,29 +360,40 @@ def _column_powers(base: np.ndarray, count: int, p: int) -> np.ndarray:
     return out
 
 
-def _slab_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for float64 matrices, in row slabs of at most _BLAS_SLAB products."""
-    rows = max(1, _BLAS_SLAB // (a.shape[1] * b.shape[1]))
-    if rows >= a.shape[0]:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
-    for start in range(0, a.shape[0], rows):
-        np.matmul(a[start : start + rows], b, out=out[start : start + rows])
-    return out
+def _slab_rows(width: int, columns: int) -> int:
+    """Block rows per slab of a product with ``columns`` output columns.
+
+    A slab holds at most _SLAB_ENTRIES floats and its product at most
+    _BLAS_SLAB multiply-adds, which keeps OpenBLAS on the calling thread.
+    """
+    return max(1, min(_SLAB_ENTRIES // width, _BLAS_SLAB // (width * columns)))
 
 
 def _weighted_sums(arr: np.ndarray, spec: CodeSpec, tables) -> tuple[int, ...]:
     """sum_i i**j * arr[i-1] mod p for j = 1 .. d-2, through the factored tables.
 
-    The word-sized product runs in float64 and is exact (see _power_tables);
-    the small B-by-(d-1) one stays in int64.
+    Position i sits at row i // w, column i % w of a blocks-by-w matrix,
+    which is never built: a run of its rows at a time is copied into one
+    small float64 slab and multiplied by ``low`` there.  That product is
+    exact (see _power_tables); the small B-by-(d-1) one stays in int64.
     """
     low, high, binom = tables
-    p = spec.power_modulus
-    # Position i sits at row i // w, column i % w.
-    blocked = np.zeros(high.shape[0] * low.shape[0])
-    blocked[1 : spec.n + 1] = arr
-    by_low = _slab_matmul(blocked.reshape(high.shape[0], -1), low).astype(np.int64)
+    p, n = spec.power_modulus, spec.n
+    width, columns = low.shape
+    blocks = high.shape[0]
+    rows = _slab_rows(width, columns)
+    slab = np.empty(min(rows, blocks) * width)
+    by_low = np.empty((blocks, columns))
+    for top in range(0, blocks, rows):
+        bottom = min(top + rows, blocks)
+        start, stop = top * width, bottom * width  # positions start .. stop-1
+        first, last = max(start, 1), min(stop, n + 1)
+        part = slab[: stop - start]
+        part[: first - start] = 0
+        part[first - start : last - start] = arr[first - 1 : last - 1]
+        part[last - start :] = 0
+        np.matmul(part.reshape(bottom - top, width), low, out=by_low[top:bottom])
+    by_low = by_low.astype(np.int64)
     by_low %= p  # [b, k]: sum_r r**k x_(b*w+r)
     moments = (high.T @ by_low % p).tolist()  # [m, k]: sum_b (b*w)**m by_low[b, k]
     return tuple(
@@ -383,12 +417,17 @@ def _position_roots(coeffs: list[int], spec: CodeSpec) -> list[int] | None:
     integer; otherwise p * m equals v for no integer m, and a product above
     2**53, which may round, is above v anyway.
 
+    The values are never held for all n positions at once: a run of block
+    rows at a time is written into one small slab, the quotient test runs
+    in a second slab of the same size, and the hits of each run are
+    collected before the next.
+
     None when the tables do not exist, the degree exceeds d-2 or the bound
     fails.  The bound takes the polynomial's own length, which for an error
     locator is at most radius + 1, about half of d-1.  Below n = 64 a
     plain-int scan is faster; callers make that choice.
     """
-    p = spec.power_modulus
+    p, n = spec.power_modulus, spec.n
     size = len(coeffs)
     if size > spec.d - 1 or size * (p - 1) ** 2 >= 1 << 53:
         return None
@@ -401,12 +440,21 @@ def _position_roots(coeffs: list[int], spec: CodeSpec) -> list[int] | None:
         for k in range(size - m):
             shifted[m, k] = binom[m + k][k] * (coeffs[m + k] % p) % p
     by_block = (high[:, :size] @ shifted % p).astype(np.float64)
-    values = _slab_matmul(by_block, low[:, :size].T).reshape(-1)[1 : spec.n + 1]
-    # The one n-sized temporary: a second costs page faults at large n.
-    quotient = values * (1.0 / p)
-    np.rint(quotient, out=quotient)
-    quotient *= p
-    return (np.flatnonzero(values == quotient) + 1).tolist()
+    powers = low[:, :size].T
+    width, blocks = low.shape[0], high.shape[0]
+    rows = _slab_rows(width, size)
+    values = np.empty((min(rows, blocks), width))
+    quotient = np.empty_like(values)
+    hits: list[int] = []
+    for top in range(0, blocks, rows):
+        bottom = min(top + rows, blocks)
+        v, qt = values[: bottom - top], quotient[: bottom - top]
+        np.matmul(by_block[top:bottom], powers, out=v)
+        np.multiply(v, 1.0 / p, out=qt)
+        np.rint(qt, out=qt)
+        qt *= p
+        hits += (np.flatnonzero(v == qt) + top * width).tolist()
+    return [i for i in hits if 1 <= i <= n]
 
 
 def _masked_sums(

@@ -46,8 +46,7 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
         symbols = word.tolist() if isinstance(word, np.ndarray) else list(word)
         erased = [i for i, s in enumerate(symbols, start=1) if s is None]
     else:
-        # validate_word's array is a copy of its own wherever it holds an
-        # erasure, so it is filled in place.
+        # validate_word's array is the caller's own, so it is filled in place.
         symbols = arr
         hits = np.flatnonzero(arr == _ERASED)
         erased = (hits + 1).tolist()

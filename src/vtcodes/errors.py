@@ -292,17 +292,22 @@ def _corrected(
 ) -> Word | None:
     """The received word minus the error entries, if that is a coset member.
 
-    On the array path the candidate stays an int64 array through the
-    membership check and becomes a tuple only for the return value.
+    On the array path the candidate is validate_word's own array, patched
+    in place through the membership check; it becomes a tuple only for the
+    return value.  A rejected patch is undone, since a later phase reads
+    the received symbols from that array.
     """
-    candidate = list(received) if arr is None else arr.copy()
+    candidate = list(received) if arr is None else arr
     for pos, mag in entries:
         candidate[pos - 1] -= mag
-    if not is_codeword(candidate, spec, offset):
-        return None
-    if arr is None:
-        return tuple(candidate)
-    return _as_tuple(received, candidate, [pos for pos, _ in entries])
+    if is_codeword(candidate, spec, offset):
+        if arr is None:
+            return tuple(candidate)
+        return _as_tuple(received, arr, [pos for pos, _ in entries])
+    if arr is not None:
+        for pos, mag in entries:
+            arr[pos - 1] += mag
+    return None
 
 
 def _attempt(

@@ -1,32 +1,74 @@
 """Arithmetic over prime residue fields, on plain Python ints.
 
-Everything here is exact at any size of modulus.  validate_prime_modulus
-caps a modulus below 2**31; it guards only an explicit
-``CodeSpec.power_modulus``, a ``KeyEquationState`` and the moduli given to
-``bounds``, not the default one (the least prime >= max(n, q)), which can
-be far larger.  Erasure decoding (``solve_moments``) runs under no cap,
-and the vectorised kernel in ``core`` checks its own float64-exactness
-bound and falls back to exact ints.
+Everything here is exact at any size of modulus that ``is_prime`` can
+decide: its Miller-Rabin test over the first 13 prime bases is exact
+below PRIMALITY_BOUND, about 3.3e24 (Sorenson & Webster, "Strong
+pseudoprimes to twelve prime bases", 2017), and it raises ValueError at or
+above it.  validate_prime_modulus caps an explicit modulus at the same
+bound; it guards an explicit ``CodeSpec.power_modulus``, a
+``KeyEquationState`` and the moduli given to ``bounds``.  The default
+modulus, the least prime >= max(n, q), meets the same test.  No cap here
+stands for a machine word: the vectorised kernel in ``core`` checks its
+own float64 and int64 bounds per spec and falls back to exact ints.
 """
 
 from __future__ import annotations
 
-MAX_MODULUS = 1 << 31
+# The first 13 primes, and for each k the least odd composite that passes
+# the strong test to all of the first k of them (psi_k, OEIS A014233;
+# psi_12 and psi_13 from Sorenson & Webster).  Below psi_k the first k
+# bases decide primality, so the test stops there.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+PRIMALITY_BOUND = _PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic primality test, exact for n < PRIMALITY_BOUND.
+
+    Trial division by the 13 bases settles every n < 43**2; above that, a
+    strong probable-prime test runs base by base and stops at the first k
+    with n < psi_k.  Raises ValueError at or above PRIMALITY_BOUND, where
+    13 bases no longer prove anything.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality of {n} >= {PRIMALITY_BOUND} is not decided")
+    odd, twos = n - 1, 0
+    while not odd & 1:
+        odd >>= 1
+        twos += 1
+    for b, psi in zip(_BASES, _PSI):
+        x = pow(b, odd, n)
+        if x != 1 and x != n - 1:
+            for _ in range(twos - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 
@@ -45,9 +87,9 @@ def smallest_prime_geq(m: int) -> int:
 
 
 def validate_prime_modulus(modulus: int) -> int:
-    """Check that ``modulus`` is a prime small enough for 64-bit products."""
-    if modulus >= MAX_MODULUS:
-        raise ValueError(f"modulus {modulus} >= 2**31 is not supported")
+    """Check that ``modulus`` is a prime below PRIMALITY_BOUND."""
+    if modulus >= PRIMALITY_BOUND:
+        raise ValueError(f"modulus {modulus} >= {PRIMALITY_BOUND} is not supported")
     if not is_prime(modulus):
         raise ValueError(f"modulus {modulus} is not prime")
     return modulus

@@ -4,7 +4,7 @@ import pytest
 
 from vtcodes.bounds import generate_table, prime_length_report
 from vtcodes.cli import BUDGET_ENV_VAR, SplitMix64, corrupt, main
-from vtcodes.core import CodeSpec, parse_word, syndrome_profile
+from vtcodes.core import CodeSpec, format_offset, format_word, parse_word, syndrome_profile
 from vtcodes.erasure import decode_erasures
 from vtcodes.errors import decode_errors
 
@@ -340,6 +340,32 @@ def test_cli_corrupt_word_file_advances_seed(capsys, tmp_path):
     first, second = capsys.readouterr().out.splitlines()
     assert parse_word(first) == corrupt(word, 5, errors=2, seed=99)
     assert parse_word(second) == corrupt(word, 5, errors=2, seed=100)
+
+
+def test_cli_corrupt_word_file_reports_every_line(capsys, tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("3,1,4,1,0\n3,x,4,1,0\n")
+    rc = main(["corrupt", "--q", "5", "--word-file", str(path), "--errors", "1", "--seed", "7"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [format_word(corrupt((3, 1, 4, 1, 0), 5, errors=1, seed=7))]
+    assert captured.err.splitlines() == [
+        "word 2: error: bad symbol 'x' in word",
+        "summary: 1 corrupted, 1 malformed",
+    ]
+
+
+def test_cli_takes_a_modulus_beyond_31_bits(capsys):
+    # The default modulus of CodeSpec(2**31 + 11, 5, 3) is 2**31 + 11, a
+    # prime; naming it explicitly gives the same code.
+    spec = CodeSpec(2**31 + 11, 5, 3)
+    assert spec.power_modulus == 2147483659
+    word = (2**31, 7, 0, 1, 2**31 + 10)
+    offset = format_offset(syndrome_profile(word, spec))
+    rc = main(["check", "--q", str(2**31 + 11), "--n", "5", "--d", "3", "--modulus", "2147483659",
+               "--offset", offset, "--word", format_word(word)])
+    assert rc == 0
+    assert capsys.readouterr().out == "codeword\n"
 
 
 def test_cli_word_sources_are_exclusive(tmp_path, capsys):

@@ -8,7 +8,9 @@ moduli), plain-int loops run.  These tests
 draw codes on both sides of each switch and compare every path with the
 residues of ``checksum``, which sums unbounded Python ints.  They also check
 the error decoder's root scan against a plain-int scan next to the bound,
-that every accepted input type decodes to the same tuple, that both
+and both array paths against the plain-int loops across the row slabs the
+products run in.  They check that every accepted input type decodes to the
+same tuple, that the decoders leave an array input unchanged, that both
 decoders take alphabets too large for the vectorised kernel, and that a bad
 symbol gets the same message on every path.
 """
@@ -33,7 +35,7 @@ from vtcodes import (
     syndrome_profile,
     validate_word,
 )
-from vtcodes.modarith import eval_poly_mod, smallest_prime_geq
+from vtcodes.modarith import eval_poly_mod, smallest_prime_geq, solve_moments
 
 
 def exact_profile(word, spec):
@@ -171,6 +173,148 @@ def test_locator_roots_match_a_plain_int_scan(spec):
         expected = [k for k in range(1, n + 1) if k % p and eval_poly_mod(rev, k, p) == 0]
         assert planted <= set(expected)
         assert errors._locator_roots(rev[::-1], spec) == expected
+
+
+@st.composite
+def slab_cases(draw):
+    """A spec from n = 64 to about 30 000, at n = p or n < p, and a word.
+
+    The products run in slabs of core._slab_rows(w, columns) block rows:
+    about 8192 / w rows while the columns number at most 32, and fewer
+    beyond, where the cap on multiply-adds binds.  d = 33 gives the sums
+    32 columns, where the two caps meet.  Above n = 8192 a product takes
+    several runs of rows, most with a ragged last run; below, one.
+    """
+    d = draw(st.sampled_from((3, 9, 17, 33)))
+    # Half the draws take several runs of rows.
+    n = draw(st.one_of(st.integers(64, 8_192), st.integers(8_193, 30_000)))
+    q = draw(st.integers(2, 256))
+    if draw(st.booleans()):
+        n = smallest_prime_geq(max(n, q))
+        spec = CodeSpec(q, n, d)
+    else:
+        spec = CodeSpec(q, n, d, power_modulus=smallest_prime_geq(max(n + 1, q)))
+    fill = draw(st.sampled_from(["random", "top"]))
+    return spec, fill, draw(st.integers(0, 2**32))
+
+
+def slab_boundaries(spec, columns):
+    """Positions 1, n and the first and last of every run of slab rows."""
+    width = math.isqrt(spec.n) + 1
+    step = core._slab_rows(width, columns) * width
+    edges = {1, spec.n}
+    for start in range(step, spec.n + 1, step):
+        edges |= {start - 1, start}
+    return sorted(k for k in edges if 1 <= k <= spec.n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(slab_cases())
+# n = p = 30011: w = 174, runs of 47, 47, 47 and 32 rows.
+@example((CodeSpec(7, 30011, 3), "top", 1))
+# n = 8200 < p: w = 91, runs of 90 rows and 1 row.
+@example((CodeSpec(256, 8200, 9), "top", 2))
+# 64 columns: the cap on multiply-adds gives the sums 37 rows, not 74.
+@example((CodeSpec(200, 12000, 65, power_modulus=12007), "random", 3))
+def test_slab_runs_match_the_plain_int_loops(case):
+    spec, fill, seed = case
+    p, n = spec.power_modulus, spec.n
+    assert core._power_tables(spec) is not None
+    rng = random.Random(seed)
+    word = random_word(rng, spec, fill)
+    arr = validate_word(word, spec)
+    assert core._masked_sums(word, spec, arr) == core._masked_sums(word, spec)
+
+    # Roots at positions 1, n and on run boundaries, times a random factor;
+    # at n = p position n is the root 0.
+    size = rng.randint(2, spec.d - 1)
+    edges = slab_boundaries(spec, size)
+    planted = rng.sample(edges, min(len(edges), rng.randint(1, size - 1)))
+    coeffs = [1]
+    for k in planted:
+        coeffs = poly_mul(coeffs, [-k % p, 1], p)
+    coeffs = poly_mul(coeffs, [rng.randrange(p) for _ in range(size - len(coeffs))] + [1], p)
+    assert len(coeffs) == size
+    expected = [k for k in range(1, n + 1) if eval_poly_mod(coeffs, k, p) == 0]
+    assert set(planted) <= set(expected)
+    assert core._position_roots(coeffs, spec) == expected
+
+
+def test_decoders_leave_an_array_input_unchanged():
+    # n = p = 67: an error at position n, which has locator 0, takes
+    # phase two, which reads the received symbols from validate_word's
+    # array after phase one has failed.
+    spec = CodeSpec(16, 67, 5)
+    rng = random.Random(67)
+    sent = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+    offset = exact_profile(sent, spec)
+    received = list(sent)
+    received[spec.n - 1] = (sent[-1] + 5) % spec.q
+    received[20] = (sent[20] + 9) % spec.q
+    for word in (sent, received):
+        form = np.array(word, dtype=np.int64)
+        assert_same_tuple(decode_errors(form, spec, offset), sent)
+        assert form.tolist() == list(word)
+        form = np.array(word, dtype=np.int64)
+        if word is sent:
+            assert_same_tuple(decode_erasures(form, spec, offset), sent)
+        else:
+            with pytest.raises(InconsistentWordError):
+                decode_erasures(form, spec, offset)
+        assert form.tolist() == list(word)
+
+
+def test_rejected_candidate_is_undone_before_phase_two(monkeypatch):
+    # A word c2 that meets every moment of the offset mod p while its plain
+    # sum is off by a multiple of p, received with one substitution.  Phase
+    # one patches that substitution into the array, is_codeword rejects c2,
+    # and phase two must read the received symbols, not c2's.
+    spec = CodeSpec(67, 67, 5)  # q = n = p
+    p, n = spec.power_modulus, spec.n
+    rng = random.Random(5)
+    sent = [rng.randrange(spec.q) for _ in range(n)]
+    offset = exact_profile(sent, spec)
+    nodes = [3, 30, 31, 50]  # positions refilled to meet the moments mod p
+    other = 10  # the substitution
+    for bump in range(1, spec.q):
+        c2 = list(sent)
+        c2[n - 1] = (sent[n - 1] + bump) % spec.q
+        for k in nodes:
+            c2[k - 1] = 0
+        plain, weighted = core._masked_sums(c2, spec)
+        rhs = [(sum(sent) - plain) % p] + [(offset[j] - weighted[j - 1]) % p for j in range(1, spec.d - 1)]
+        for k, v in zip(nodes, solve_moments(nodes, rhs, p)):
+            c2[k - 1] = v  # every residue is a symbol here, as q = p
+        if abs(sum(c2) - sum(sent)) == p:
+            break
+    assert exact_profile(c2, spec)[1:] == offset[1:]
+    assert not is_codeword(c2, spec, offset)
+    received = list(c2)
+    received[other - 1] = (c2[other - 1] + 1) % spec.q
+
+    arrays = []
+    rejected = []
+    attempt, member = errors._attempt, errors.is_codeword
+
+    def spy_attempt(word, arr, *rest):
+        arrays.append(arr.copy())
+        return attempt(word, arr, *rest)
+
+    def spy_member(word, *rest):
+        ok = member(word, *rest)
+        if not ok:
+            rejected.append(list(word))
+        return ok
+
+    monkeypatch.setattr(errors, "_attempt", spy_attempt)
+    monkeypatch.setattr(errors, "is_codeword", spy_member)
+    form = np.array(received, dtype=np.int64)
+    with pytest.raises(errors.UncorrectableError):
+        decode_errors(form, spec, offset)
+    assert rejected[0] == c2
+    assert len(arrays) == 2
+    assert all(arr.tolist() == received for arr in arrays)
+    assert form.tolist() == received
 
 
 def input_forms(word, q):
@@ -327,14 +471,12 @@ def test_large_alphabet_erasures_decode():
         decode_erasures(tuple(masked), spec, offset)
 
 
-def test_alphabet_beyond_int64_decodes_on_plain_ints(monkeypatch):
+def test_alphabet_beyond_int64_decodes_on_plain_ints():
     # q = 2**64 makes the default modulus the least prime above 2**64,
-    # which the package's trial division takes minutes to find; it is
     # 2**64 + 13.  Symbols and residues beyond int64 must stay Python ints
     # through every decoder step, whatever the input type.
     prime = 2**64 + 13
     assert all(pow(a, prime - 1, prime) == 1 for a in (2, 3, 5, 7, 11))
-    monkeypatch.setattr(core, "smallest_prime_geq", lambda m: prime if m == 2**64 else None)
     spec = CodeSpec(2**64, 64, 3)
     assert spec.power_modulus == prime
     sent = [0] * spec.n

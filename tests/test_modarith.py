@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
 
 from vtcodes.modarith import (
+    PRIMALITY_BOUND,
+    _BASES,
+    _PSI,
     eval_poly_mod,
     inv_mod,
     is_prime,
@@ -44,8 +48,63 @@ def test_validate_prime_modulus():
         validate_prime_modulus(87)
     with pytest.raises(ValueError):
         validate_prime_modulus(1)
-    with pytest.raises(ValueError):
-        validate_prime_modulus((1 << 31) + 11)
+    assert validate_prime_modulus((1 << 31) + 11) == (1 << 31) + 11
+    with pytest.raises(ValueError, match="not supported"):
+        validate_prime_modulus(PRIMALITY_BOUND)
+    with pytest.raises(ValueError, match="not supported"):
+        validate_prime_modulus(2**89 - 1)  # a Mersenne prime beyond the bound
+
+
+def strong_probable_prime(n, base):
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    x = pow(base, odd, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, twos))
+
+
+# psi_k with its prime factors (OEIS A014233).
+PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def test_miller_rabin_table():
+    # Each psi_k is composite, fools the first k bases, and is reported
+    # composite; every factor is reported prime.
+    assert PRIMALITY_BOUND == _PSI[-1]
+    assert set(_PSI) == set(PSI_FACTORS)
+    for k, psi in enumerate(_PSI, start=1):
+        factors = PSI_FACTORS[psi]
+        assert math.prod(factors) == psi
+        assert all(strong_probable_prime(psi, b) for b in _BASES[:k])
+        assert all(is_prime(f) for f in factors)
+        if psi < PRIMALITY_BOUND:
+            assert not is_prime(psi)
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(PRIMALITY_BOUND)
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [n for n in range(-3, 5000) if by_division(n)]
+    rng = random.Random(2017)
+    for n in [rng.randrange(2**20, 2**34) for _ in range(300)] + [2**31 - 1, 2**31 + 11, 2**32 + 15]:
+        assert is_prime(n) == by_division(n), n
+    assert smallest_prime_geq(2**64) == 2**64 + 13
+    assert smallest_prime_geq(2**31) == 2**31 + 11
 
 
 def test_inv_mod_round_trip():

@@ -6,7 +6,8 @@ The package is imported from the checkout's src/.  For q = 16 and each
 (n, d) of the grid it times a clean `decode_errors`, a `decode_errors`
 with t = (d-1)//2 substitutions and a `decode_erasures`
 with d-1 erasures, on tuple words, and keeps the best of three calls after
-one untimed call (which builds the cached power tables).  The grid is
+one untimed call (which builds the cached power tables), and the minor
+page faults (``ru_minflt``) per timed call.  The grid is
 n = 1e3, 1e5, 1e6 at d = 3, 9, 17, plus n = 4099 at d = 129.  For each
 d of the first three it fits the log-log slope of time against n; a
 quasi-linear decoder gives a slope near 1.  Every decoded word is checked
@@ -23,6 +24,7 @@ import math
 import os
 import platform
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -36,15 +38,23 @@ REPEATS = 3
 KINDS = ("clean", "errors", "erasures")
 
 
-def best_ms(call, expected) -> float:
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def best_ms(call, expected) -> tuple[float, float]:
+    """(best time in ms, mean minor page faults) over the timed calls."""
     if call() != expected:
         raise SystemExit("scaling: a decode returned a word other than the one sent")
     best = math.inf
+    faults = 0
     for _ in range(REPEATS):
+        before = minor_faults()
         start = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - start)
-    return best * 1e3
+        faults += minor_faults() - before
+    return best * 1e3, faults / REPEATS
 
 
 def cell(vtcodes, n: int, d: int, rng: random.Random) -> dict:
@@ -66,7 +76,9 @@ def cell(vtcodes, n: int, d: int, rng: random.Random) -> dict:
     }
     out = {"n": n, "d": d, "p": spec.power_modulus}
     for kind in KINDS:
-        out[f"{kind}_ms"] = round(best_ms(calls[kind], sent), 4)
+        ms, faults = best_ms(calls[kind], sent)
+        out[f"{kind}_ms"] = round(ms, 4)
+        out[f"{kind}_minflt"] = round(faults, 1)
     return out
 
 
@@ -105,7 +117,11 @@ def main() -> None:
         "slope_in_n": slopes,
     }
     for c in cells:
-        print(f"n={c['n']:>7} d={c['d']:>3}  " + "  ".join(f"{k} {c[k + '_ms']:9.3f} ms" for k in KINDS), file=sys.stderr)
+        print(
+            f"n={c['n']:>7} d={c['d']:>3}  "
+            + "  ".join(f"{k} {c[k + '_ms']:9.3f} ms {c[k + '_minflt']:7.1f} faults" for k in KINDS),
+            file=sys.stderr,
+        )
     (ROOT / "BENCH_scaling.json").write_text(json.dumps(report, indent=1) + "\n")
     print(json.dumps(report))
 
