@@ -44,7 +44,6 @@ from .core import (
     parse_word,
     syndrome_profile,
     validate_offset,
-    validate_word,
 )
 from .erasure import InconsistentWordError, decode_erasures
 from .errors import (
@@ -115,5 +114,4 @@ __all__ = [
     "smallest_prime_geq",
     "syndrome_profile",
     "validate_offset",
-    "validate_word",
 ]

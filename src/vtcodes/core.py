@@ -29,8 +29,6 @@ ERASURE_MARK = "?"
 
 # Below this length the plain-int loops beat the cost of building arrays.
 _VECTOR_MIN_LENGTH = 64
-# Marks an erased position in the int64 form of a word.
-_ERASED = -1
 # Symbols per block when a word that may hold erasures is converted.
 _BLOCK = 1024
 # OpenBLAS keeps a product of up to this many multiply-adds (m*n*k) on the
@@ -48,6 +46,8 @@ _SLAB_ENTRIES = 1 << 13
 
 Word = tuple
 Offset = tuple
+# A word's working form (see validate_word).
+Symbols = np.ndarray | list[int]
 
 
 class BudgetExceededError(RuntimeError):
@@ -147,22 +147,21 @@ def format_offset(offset: Offset) -> str:
 
 def validate_word(
     word: Word, spec: CodeSpec, *, allow_erasures: bool = False
-) -> np.ndarray | None:
+) -> tuple[Symbols, list[int]]:
     """Check the length and the symbols of a word; raise ValueError if bad.
 
     A word is a tuple, list, ``bytes`` or ``ndarray`` of integers in
-    [0, q-1], with None at erased positions where ``allow_erasures``.  From
-    n = 64 on, and for every ``ndarray``, the word is converted once and
-    returned as an int64 array, erased positions holding -1, for the
-    vectorised syndrome kernel.  That array is always a new one that the
-    caller owns and may write into: an integer ``ndarray`` input is copied
-    (``astype(np.int64)``), never returned or viewed, so a decoder that
-    patches the array leaves its input unchanged.  None is returned below
-    n = 64 and for every spec beyond the bound under which the kernel's
-    float64 products are exact (``_power_tables`` is None); the plain-int
-    loops then take the word, an ``ndarray`` converted to Python ints
-    first, since numpy scalars would wrap, or raise, under their exact
-    arithmetic.
+    [0, q-1], with None at erased positions where ``allow_erasures``.
+    Returns ``(symbols, erased)``: the word's working form, erased
+    positions holding 0, and the erased positions, 1-based and ascending.
+    ``symbols`` is always a new object that the caller owns and may write
+    into; the input is never returned or viewed.  From n = 64 on, and for
+    an integer ``ndarray`` of any length, it is an int64 array for the
+    vectorised syndrome kernel.  Otherwise, and for every spec beyond the
+    bound under which the kernel's float64 products are exact
+    (``_power_tables`` is None), it is a list of Python ints: any other
+    integer type, a numpy scalar for one, goes through ``operator.index``,
+    since it would wrap, or raise, under the exact plain-int loops.
     """
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != n={spec.n}")
@@ -175,25 +174,33 @@ def validate_word(
                 continue
             break
         else:
-            return None
+            symbols = list(word)
+            if not allow_erasures:
+                return symbols, []
+            erased = [i for i, s in enumerate(symbols, 1) if s is None]
+            for i in erased:
+                symbols[i - 1] = 0
+            return symbols, erased
     if (spec.n >= _VECTOR_MIN_LENGTH or isinstance(word, np.ndarray)) and (
         _power_tables(spec) is not None
     ):
         converted = _as_int64(word, q, allow_erasures)
         if converted is not None:
-            arr, erased = converted
+            arr = converted[0]
             if arr.min() >= 0 and arr.max() < q:
-                if erased:
-                    arr[erased] = _ERASED
-                return arr
-    # The first bad position, named.  After a conversion to int64 no word
-    # passes this loop; without one (no power tables) it is the full check.
-    for i, s in enumerate(word, start=1):
+                return converted
+    # The full check, which names the first bad position.  After a
+    # conversion to int64 no word passes it.
+    symbols = list(word)
+    erased = []
+    for i, s in enumerate(symbols, start=1):
         if type(s) is int and 0 <= s < q:
             continue
         if s is None:
             if not allow_erasures:
                 raise ValueError(f"erased symbol at position {i} not allowed here")
+            erased.append(i)
+            symbols[i - 1] = 0
             continue
         try:
             value = operator.index(s)
@@ -201,11 +208,13 @@ def validate_word(
             raise ValueError(f"symbol {s!r} at position {i} is not an integer") from None
         if not 0 <= value < q:
             raise ValueError(f"symbol {s} at position {i} outside [0, {q - 1}]")
-    return None
+        symbols[i - 1] = value
+    return symbols, erased
 
 
 def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, list[int]] | None:
-    """The word as a new int64 array, erased positions 0, with those positions.
+    """The word as a new int64 array, erased positions 0, with those
+    positions, 1-based.
 
     None when a symbol is not an integer that fits the conversion, or is an
     erasure where none is allowed.  An integer ``ndarray`` is copied.
@@ -239,7 +248,7 @@ def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, lis
 
 def _convert_blocks(word: Word, wide: bool) -> tuple[array | bytearray, list[int]]:
     """_as_int64's typed buffer for a word that may hold erasures, block by
-    block, with the 0-based erased positions (written as 0)."""
+    block, with the 1-based erased positions (written as 0)."""
     n = len(word)
     buf = array("q", bytes(8 * n)) if wide else bytearray(n)
 
@@ -263,24 +272,29 @@ def _convert_blocks(word: Word, wide: bool) -> tuple[array | bytearray, list[int
         except ValueError:
             pass
         put(start, block)
-        erased.extend(start + i for i in hits)
+        erased.extend(start + i + 1 for i in hits)
     return buf, erased
 
 
-def _as_tuple(word: Word, arr: np.ndarray | None = None, changed=()) -> Word:
-    """A validated word as a tuple, the 1-based ``changed`` positions read
-    from its int64 form ``arr``.
+def _as_tuple(word: Word, symbols: Symbols, changed=()) -> Word:
+    """The decoded word as a tuple, from the input ``word`` and its
+    working form ``symbols`` (see validate_word), into which the decoder
+    has written the 1-based ``changed`` positions.
 
-    A sequence input is copied and patched, which is faster than converting
-    the whole array back; an ``ndarray`` input is converted to Python ints.
+    A list of Python ints is the whole answer.  From an int64 form only the
+    changed positions are read, into a copy of a sequence input, which is
+    faster than converting the whole array back; an unchanged tuple is
+    returned as it is, and an ``ndarray`` input is converted to Python ints.
     """
+    if isinstance(symbols, list):
+        return tuple(symbols)
     if isinstance(word, np.ndarray):
-        return tuple((word if arr is None else arr).tolist())
+        return tuple(symbols.tolist())
     if not changed:
         return tuple(word)
     out = list(word)
     for k in changed:
-        out[k - 1] = int(arr[k - 1])
+        out[k - 1] = int(symbols[k - 1])
     return tuple(out)
 
 
@@ -457,24 +471,22 @@ def _position_roots(coeffs: list[int], spec: CodeSpec) -> list[int] | None:
     return [i for i in hits if 1 <= i <= n]
 
 
-def _masked_sums(
-    word: Word, spec: CodeSpec, arr: np.ndarray | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """(exact plain sum, weighted sums mod power_modulus), None counting as 0.
+def _masked_sums(symbols: Symbols | Word, spec: CodeSpec) -> tuple[int, tuple[int, ...]]:
+    """(exact plain sum, weighted sums mod power_modulus) of a word's symbols.
 
-    Feeding erased positions as zeros makes this directly usable both for
-    full words and for the kept part of a partially erased word.  ``arr`` is
-    the int64 form from validate_word, with erased positions set to 0; with
-    it the weighted sums go through the factored power tables.  Without it
-    the symbols must be Python ints (see validate_word).
+    ``symbols`` is a working form from validate_word, erased positions
+    holding 0, so this serves both full words and the kept part of a
+    partially erased word.  An int64 array goes through the factored power
+    tables; any other sequence must hold Python ints, which the exact
+    plain-int loop takes.
     """
-    if arr is not None:
-        return int(arr.sum()), _weighted_sums(arr, spec, _power_tables(spec))
+    if isinstance(symbols, np.ndarray):
+        return int(symbols.sum()), _weighted_sums(symbols, spec, _power_tables(spec))
     p = spec.power_modulus
     plain = 0
     acc = [0] * (spec.d - 2)
     orders = range(spec.d - 2)
-    for i, s in enumerate(word, start=1):
+    for i, s in enumerate(symbols, start=1):
         if not s:
             continue
         plain += s
@@ -485,10 +497,8 @@ def _masked_sums(
     return plain, tuple(a % p for a in acc)
 
 
-def _profile_of(
-    word: Word, spec: CodeSpec, arr: np.ndarray | None = None
-) -> tuple[int, ...]:
-    plain, weighted = _masked_sums(word, spec, arr)
+def _profile_of(symbols: Symbols | Word, spec: CodeSpec) -> tuple[int, ...]:
+    plain, weighted = _masked_sums(symbols, spec)
     return (plain % spec.sum_modulus, *weighted)
 
 
@@ -498,18 +508,12 @@ def syndrome_profile(word: Word, spec: CodeSpec) -> tuple[int, ...]:
     The plain sum keeps its own modulus; it is reduced further only where a
     mod-prime shadow is explicitly needed (e.g. assembling moment systems).
     """
-    arr = validate_word(word, spec)
-    if arr is None and isinstance(word, np.ndarray):
-        word = word.tolist()
-    return _profile_of(word, spec, arr)
+    return _profile_of(validate_word(word, spec)[0], spec)
 
 
 def is_codeword(word: Word, spec: CodeSpec, offset: Offset) -> bool:
     validate_offset(offset, spec)
-    arr = validate_word(word, spec)
-    if arr is None and isinstance(word, np.ndarray):
-        word = word.tolist()
-    return _profile_of(word, spec, arr) == tuple(offset)
+    return _profile_of(validate_word(word, spec)[0], spec) == tuple(offset)
 
 
 def _check_budget(spec: CodeSpec, budget: int) -> None:

@@ -9,14 +9,16 @@ elimination.  The solution is a coset member exactly when it lifts into
 the alphabet, its plain sum equals the erased part's exact sum, and the
 remaining moments m .. d-2 hold; checking that costs O(m*d), so no second
 pass over the word is made.
+
+The word is read through the working form ``core.validate_word`` makes of
+it, which holds 0 at the erased positions and lists them; the recovered
+symbols are written into it and ``core._as_tuple`` returns the completed
+word.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import (
-    _ERASED,
     CodeSpec,
     Offset,
     Word,
@@ -41,23 +43,13 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     fails, or the completed word is not a coset member.
     """
     validate_offset(offset, spec)
-    arr = validate_word(word, spec, allow_erasures=True)
-    if arr is None:
-        symbols = word.tolist() if isinstance(word, np.ndarray) else list(word)
-        erased = [i for i, s in enumerate(symbols, start=1) if s is None]
-    else:
-        # validate_word's array is the caller's own, so it is filled in place.
-        symbols = arr
-        hits = np.flatnonzero(arr == _ERASED)
-        erased = (hits + 1).tolist()
+    symbols, erased = validate_word(word, spec, allow_erasures=True)
     m = len(erased)
     if m > spec.d - 1:
         raise ValueError(f"{m} erasures exceed the guaranteed limit d-1 = {spec.d - 1}")
 
     p = spec.power_modulus
-    if arr is not None:
-        arr[hits] = 0
-    kept_plain, kept_weighted = _masked_sums(symbols, spec, arr)
+    kept_plain, kept_weighted = _masked_sums(symbols, spec)
 
     # The plain sum of the erased symbols is at most (d-1)(q-1), one below
     # sum_modulus, so its residue determines it exactly.
@@ -68,7 +60,7 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     if m == 0:
         if erased_plain or any(rhs):
             raise InconsistentWordError("word has no erasures and is not a coset member")
-        return _as_tuple(word)
+        return _as_tuple(word, symbols)
 
     solved = solve_moments(erased, rhs, p)
 
@@ -94,9 +86,8 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     if sum(solved) != erased_plain:
         raise InconsistentWordError("completed word fails the membership check")
 
-    if arr is None:
-        for k, v in zip(erased, solved):
-            symbols[k - 1] = v
-        return tuple(symbols)
-    arr[hits] = solved
-    return _as_tuple(word, arr, erased)
+    # validate_word's working form is the caller's own, so it is filled in
+    # place.
+    for k, v in zip(erased, solved):
+        symbols[k - 1] = v
+    return _as_tuple(word, symbols, erased)

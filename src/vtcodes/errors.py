@@ -16,17 +16,22 @@ magnitudes.  Two wrinkles are specific to this family:
   error there: the remaining errors are decoded from the moment sequence
   shifted by one (dropping the plain-sum term), and the magnitude at
   position n is recovered from the exact integer sum.
+
+The word is read only through the working form ``core.validate_word``
+makes of it, an int64 array or a list of Python ints that the decoder
+owns: the syndromes, the magnitudes and the candidate come from it, the
+candidate is patched into it (and the patch undone if rejected), and
+``core._as_tuple`` turns the accepted candidate into the returned tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     CodeSpec,
     Offset,
+    Symbols,
     Word,
     _VECTOR_MIN_LENGTH,
     _as_tuple,
@@ -55,22 +60,17 @@ def centered_lift(residue: int, modulus: int) -> int:
 
 def _syndrome_parts(
     received: Word, spec: CodeSpec, offset: Offset
-) -> tuple[int, list[int], np.ndarray | None, Word]:
+) -> tuple[int, list[int], Symbols]:
     """(exact integer sum of error magnitudes, weighted syndromes mod prime,
-    the int64 form of the word from validate_word or None, the word).
-
-    Where there is no int64 form, the word comes back with Python-int
-    symbols, which the decoders then read.
+    the word's working form from validate_word).
     """
     validate_offset(offset, spec)
-    arr = validate_word(received, spec)
-    if arr is None and isinstance(received, np.ndarray):
-        received = received.tolist()
-    plain, weighted = _masked_sums(received, spec, arr)
+    symbols, _ = validate_word(received, spec)
+    plain, weighted = _masked_sums(symbols, spec)
     shift = centered_lift(plain - offset[0], spec.sum_modulus)
     p = spec.power_modulus
     tail = [(w - offset[j]) % p for j, w in enumerate(weighted, start=1)]
-    return shift, tail, arr, received
+    return shift, tail, symbols
 
 
 def compute_error_syndrome(
@@ -82,7 +82,7 @@ def compute_error_syndrome(
     that shadow can vanish while the shift itself does not, so codeword
     detection must use the exact shift (as the decoders here do).
     """
-    shift, tail, _, _ = _syndrome_parts(received, spec, offset)
+    shift, tail, _ = _syndrome_parts(received, spec, offset)
     return (shift % spec.power_modulus, *tail)
 
 
@@ -285,34 +285,32 @@ def locate_and_evaluate(
 
 def _corrected(
     received: Word,
-    arr: np.ndarray | None,
+    symbols: Symbols,
     entries: list[tuple[int, int]],
     spec: CodeSpec,
     offset: Offset,
 ) -> Word | None:
     """The received word minus the error entries, if that is a coset member.
 
-    On the array path the candidate is validate_word's own array, patched
-    in place through the membership check; it becomes a tuple only for the
-    return value.  A rejected patch is undone, since a later phase reads
-    the received symbols from that array.
+    The candidate is validate_word's working form of the received word,
+    patched in place through the membership check; it becomes a tuple only
+    for the return value.  A rejected patch is undone, since a later phase
+    reads the received symbols from it.
     """
-    candidate = list(received) if arr is None else arr
+    changed = []
     for pos, mag in entries:
-        candidate[pos - 1] -= mag
-    if is_codeword(candidate, spec, offset):
-        if arr is None:
-            return tuple(candidate)
-        return _as_tuple(received, arr, [pos for pos, _ in entries])
-    if arr is not None:
-        for pos, mag in entries:
-            arr[pos - 1] += mag
+        symbols[pos - 1] -= mag
+        changed.append(pos)
+    if is_codeword(symbols, spec, offset):
+        return _as_tuple(received, symbols, changed)
+    for pos, mag in entries:
+        symbols[pos - 1] += mag
     return None
 
 
 def _attempt(
     received: Word,
-    arr: np.ndarray | None,
+    symbols: Symbols,
     spec: CodeSpec,
     offset: Offset,
     moments: list[int],
@@ -320,9 +318,6 @@ def _attempt(
     max_errors: int,
     zero_locator_shift: int | None,
 ) -> Word | None:
-    # Symbols are read from the int64 form where there is one: numpy
-    # scalars of a narrower dtype would wrap under the arithmetic below.
-    symbols = received if arr is None else arr
     p = spec.power_modulus
     lam, length = berlekamp_massey(moments, p)
     if length > max_errors or len(lam) - 1 != length:
@@ -343,7 +338,7 @@ def _attempt(
         if not 0 <= sent < spec.q:
             return None
         entries = entries + [(spec.n, magnitude)]
-    return _corrected(received, arr, entries, spec, offset)
+    return _corrected(received, symbols, entries, spec, offset)
 
 
 def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
@@ -353,16 +348,16 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     within the correction radius of the received word, and with at most
     that many substitutions the unique closest member is the sent one.
     """
-    shift, tail, arr, received = _syndrome_parts(received, spec, offset)
+    shift, tail, symbols = _syndrome_parts(received, spec, offset)
     if shift == 0 and not any(tail):
-        return _as_tuple(received)
+        return _as_tuple(received, symbols)
     p = spec.power_modulus
     radius = spec.correction_radius
     result = _attempt(
-        received, arr, spec, offset, [shift % p, *tail], 0, radius, None
+        received, symbols, spec, offset, [shift % p, *tail], 0, radius, None
     )
     if result is None and spec.n == p:
-        result = _attempt(received, arr, spec, offset, tail, 1, radius - 1, shift)
+        result = _attempt(received, symbols, spec, offset, tail, 1, radius - 1, shift)
     if result is None:
         raise UncorrectableError(
             f"no coset member within {radius} substitutions of the received word"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -22,7 +23,6 @@ from .core import (
     enumerate_codewords,
     hamming_distance,
     is_codeword,
-    syndrome_profile,
     validate_offset,
 )
 from .erasure import InconsistentWordError, decode_erasures
@@ -53,11 +53,18 @@ def coset_partition(
     """Group every word of the cube by its syndrome profile, in one pass.
 
     Values are in lexicographic word order; only occupied profiles appear.
+    The profiles come from the defining sums, in exact ints, with this
+    module's own loop over columns of i**j built once: the syndrome kernel
+    behind ``is_codeword`` and the decoders is not used, so a fault in it
+    shows up as a disagreement instead of on both sides.
     """
     _check_budget(spec, budget)
+    m0, p = spec.sum_modulus, spec.power_modulus
+    columns = [tuple(i**j for i in range(1, spec.n + 1)) for j in range(1, spec.d - 1)]
     buckets: dict[Offset, list[Word]] = {}
     for w in itertools.product(range(spec.q), repeat=spec.n):
-        buckets.setdefault(syndrome_profile(w, spec), []).append(w)
+        key = (sum(w) % m0, *[sum(map(mul, w, col)) % p for col in columns])
+        buckets.setdefault(key, []).append(w)
     return buckets
 
 

@@ -260,7 +260,7 @@ def test_public_surface():
         "improvement_interval_defect1", "is_codeword", "is_prime", "is_prime_power",
         "locate_and_evaluate", "parse_offset", "parse_word", "partition_check",
         "prime_length_report", "redundancy_upper_bound", "smallest_prime_geq",
-        "syndrome_profile", "validate_offset", "validate_word",
+        "syndrome_profile", "validate_offset",
     ]
     public = {
         name

@@ -12,7 +12,10 @@ and both array paths against the plain-int loops across the row slabs the
 products run in.  They check that every accepted input type decodes to the
 same tuple, that the decoders leave an array input unchanged, that both
 decoders take alphabets too large for the vectorised kernel, and that a bad
-symbol gets the same message on every path.
+symbol gets the same message on every path.  validate_word's working form
+is checked for every input type on both sides of n = 64: a new object
+holding the symbols, erased positions 0 and listed apart, and Python ints
+only on the plain path, so numpy scalars never reach the exact loops.
 """
 
 import math
@@ -33,8 +36,8 @@ from vtcodes import (
     errors,
     is_codeword,
     syndrome_profile,
-    validate_word,
 )
+from vtcodes.core import validate_word
 from vtcodes.modarith import eval_poly_mod, smallest_prime_geq, solve_moments
 
 
@@ -222,8 +225,8 @@ def test_slab_runs_match_the_plain_int_loops(case):
     assert core._power_tables(spec) is not None
     rng = random.Random(seed)
     word = random_word(rng, spec, fill)
-    arr = validate_word(word, spec)
-    assert core._masked_sums(word, spec, arr) == core._masked_sums(word, spec)
+    arr, _ = validate_word(word, spec)
+    assert core._masked_sums(arr, spec) == core._masked_sums(word, spec)
 
     # Roots at positions 1, n and on run boundaries, times a random factor;
     # at n = p position n is the root 0.
@@ -421,8 +424,8 @@ def test_erasures_found_in_every_conversion_block(q):
     masked = list(sent)
     for k in erased:
         masked[k] = None
-    arr = validate_word(tuple(masked), spec, allow_erasures=True)
-    assert np.flatnonzero(arr == -1).tolist() == erased
+    _, found = validate_word(tuple(masked), spec, allow_erasures=True)
+    assert found == [k + 1 for k in erased]
     assert_same_tuple(decode_erasures(tuple(masked), spec, offset), sent)
     # A bad symbol after an erasure in the same block, and one in a later
     # block: the message names the first bad position.
@@ -493,3 +496,67 @@ def test_alphabet_beyond_int64_decodes_on_plain_ints():
     for form in (tuple(masked), masked, np.array(masked, dtype=object)):
         assert_same_tuple(decode_erasures(form, spec, offset), tuple(sent))
     assert_same_tuple(decode_erasures(tuple(sent), spec, offset), tuple(sent))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize(
+    "spec", [CodeSpec(2**62, 5, 3), CodeSpec(2**60, 70, 3)], ids=["n5", "n70"]
+)
+def test_numpy_scalar_symbols_take_the_exact_loops(spec, dtype):
+    # Neither spec has power tables, so the plain-int loops take the word.
+    # Symbols near q make the plain sum and term * i pass 2**63: numpy
+    # scalars there would wrap.
+    assert core._power_tables(spec) is None
+    rng = random.Random(spec.n)
+    sent = [rng.randrange(spec.q // 2, spec.q) for _ in range(spec.n)]
+    offset = exact_profile(sent, spec)
+
+    def scalars(word):
+        return tuple(None if s is None else dtype(s) for s in word)
+
+    assert syndrome_profile(scalars(sent), spec) == offset
+    assert is_codeword(scalars(sent), spec, offset)
+    assert_same_tuple(decode_errors(scalars(sent), spec, offset), tuple(sent))
+    received = list(sent)
+    received[2] = (received[2] + 12345) % spec.q
+    assert_same_tuple(decode_errors(scalars(received), spec, offset), tuple(sent))
+    masked = list(sent)
+    masked[0] = masked[-1] = None
+    assert_same_tuple(decode_erasures(scalars(masked), spec, offset), tuple(sent))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CodeSpec(200, 63, 5), CodeSpec(200, 64, 5), CodeSpec(2**40, 64, 5)],
+    ids=["n63", "n64", "no-tables"],
+)
+def test_validate_word_returns_an_owned_working_form(spec):
+    rng = random.Random(spec.n)
+    sent = [rng.randrange(200) for _ in range(spec.n)]
+    masked = list(sent)
+    for k in (0, 9, spec.n - 1):
+        masked[k] = None
+    forms = [tuple(sent), list(sent), bytes(sent)]
+    forms += [np.array(sent, dtype=np.int64), np.array(sent, dtype=np.uint8)]
+    cases = [(form, []) for form in forms]
+    cases += [
+        (form, [1, 10, spec.n])
+        for form in (tuple(masked), list(masked), np.array(masked, dtype=object))
+    ]
+    tables = core._power_tables(spec) is not None
+    for form, erased in cases:
+        before = list(form)
+        symbols, found = validate_word(form, spec, allow_erasures=True)
+        assert found == erased
+        assert list(symbols) == [0 if s is None else s for s in before]
+        if tables and (spec.n >= 64 or getattr(form, "dtype", object) != object):
+            assert isinstance(symbols, np.ndarray) and symbols.dtype == np.int64
+        else:
+            assert type(symbols) is list
+            assert all(type(s) is int for s in symbols)
+        symbols[0] = 7
+        symbols[1] += 1
+        assert list(form) == before
+        if not erased:
+            again, found = validate_word(form, spec)
+            assert list(again) == before and found == []

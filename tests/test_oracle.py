@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from vtcodes import core
 from vtcodes.core import BudgetExceededError, CodeSpec, syndrome_profile
 from vtcodes.oracle import (
     coset_partition,
@@ -105,3 +106,19 @@ def test_failure_is_reported_with_counterexample():
     assert not report.passed
     assert report.counterexample is not None
     assert report.instances >= 1
+
+
+def test_partition_check_catches_a_kernel_fault(monkeypatch):
+    # coset_partition computes each profile with its own loop, so a fault
+    # in the syndrome kernel behind is_codeword shows up as a disagreement
+    # instead of shifting both sides alike.
+    kernel = core._masked_sums
+
+    def shifted(symbols, spec):
+        plain, weighted = kernel(symbols, spec)
+        return plain, ((weighted[0] + 1) % spec.power_modulus, *weighted[1:])
+
+    monkeypatch.setattr(core, "_masked_sums", shifted)
+    report = partition_check(CodeSpec(3, 5, 3))
+    assert not report.passed
+    assert report.detail == "membership test disagrees with profile bucket"

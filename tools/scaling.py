@@ -6,11 +6,12 @@ The package is imported from the checkout's src/.  For q = 16 and each
 (n, d) of the grid it times a clean `decode_errors`, a `decode_errors`
 with t = (d-1)//2 substitutions and a `decode_erasures`
 with d-1 erasures, on tuple words, and keeps the best of three calls after
-one untimed call (which builds the cached power tables), and the minor
-page faults (``ru_minflt``) per timed call.  The grid is
-n = 1e3, 1e5, 1e6 at d = 3, 9, 17, plus n = 4099 at d = 129.  For each
-d of the first three it fits the log-log slope of time against n; a
-quasi-linear decoder gives a slope near 1.  Every decoded word is checked
+one untimed call (which builds the cached power tables), the minor
+page faults (``ru_minflt``) per timed call, and the ratio of the errors
+time to the clean time.  The grid is n = 1e3, 1e5, 1e6 at
+d = 3, 5, 9, 17, plus n = 4099 at d = 129.  For each d of the first four
+it fits the log-log slope of time against n; a quasi-linear decoder
+gives a slope near 1.  Every decoded word is checked
 against the sent one.  The report goes to BENCH_scaling.json at the root
 and, as one JSON line, to standard output.  It is not part of the test
 suite or of perfbench: its cells take seconds, and it gates nothing.
@@ -32,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 Q = 16
 LENGTHS = (1000, 100_000, 1_000_000)
-DISTANCES = (3, 9, 17)
+DISTANCES = (3, 5, 9, 17)
 EXTRA = ((4099, 129),)
 REPEATS = 3
 KINDS = ("clean", "errors", "erasures")
@@ -79,6 +80,7 @@ def cell(vtcodes, n: int, d: int, rng: random.Random) -> dict:
         ms, faults = best_ms(calls[kind], sent)
         out[f"{kind}_ms"] = round(ms, 4)
         out[f"{kind}_minflt"] = round(faults, 1)
+    out["errors_over_clean"] = round(out["errors_ms"] / out["clean_ms"], 2)
     return out
 
 
@@ -119,7 +121,8 @@ def main() -> None:
     for c in cells:
         print(
             f"n={c['n']:>7} d={c['d']:>3}  "
-            + "  ".join(f"{k} {c[k + '_ms']:9.3f} ms {c[k + '_minflt']:7.1f} faults" for k in KINDS),
+            + "  ".join(f"{k} {c[k + '_ms']:9.3f} ms {c[k + '_minflt']:7.1f} faults" for k in KINDS)
+            + f"  errors/clean {c['errors_over_clean']:.2f}",
             file=sys.stderr,
         )
     (ROOT / "BENCH_scaling.json").write_text(json.dumps(report, indent=1) + "\n")
