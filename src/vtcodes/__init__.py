@@ -51,7 +51,6 @@ from .errors import (
     KeyEquationState,
     UncorrectableError,
     berlekamp_massey,
-    centered_lift,
     compute_error_syndrome,
     decode_errors,
     locate_and_evaluate,
@@ -84,7 +83,6 @@ __all__ = [
     "admissible_prime_lengths",
     "berlekamp_massey",
     "best_offset_search",
-    "centered_lift",
     "checksum",
     "code_size_lower_bound",
     "compute_error_syndrome",

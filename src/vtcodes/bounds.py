@@ -15,7 +15,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from importlib import resources
 
-from .modarith import is_prime, smallest_prime_geq, validate_prime_modulus
+from .core import CodeSpec
+from .modarith import is_prime
 
 _BUNDLED_PROVENANCE = "bundled"
 _USER_PROVENANCE = "user"
@@ -37,25 +38,6 @@ _PUBLISHED_SINGLE: dict[tuple[int, int], str] = {
 }
 
 
-def _validate_parameters(q: int, n: int, d: int) -> None:
-    if q < 2:
-        raise ValueError(f"alphabet size q={q} must be >= 2")
-    if d < 3:
-        raise ValueError(f"designed distance d={d} must be >= 3")
-    if n < d:
-        raise ValueError(f"length n={n} must be >= d={d}")
-
-
-def _resolve_modulus(q: int, n: int, d: int, modulus: int | None) -> int:
-    floor = max(n, q)
-    if modulus is None:
-        return smallest_prime_geq(floor)
-    validate_prime_modulus(modulus)
-    if modulus < floor:
-        raise ValueError(f"modulus {modulus} < max(n, q) = {floor}")
-    return modulus
-
-
 def format_redundancy(value: float) -> str:
     """Two decimal places, ties rounded away from zero ("half up")."""
     return str(Decimal(value).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
@@ -69,9 +51,7 @@ def redundancy_upper_bound(
     The count is formed exactly as an integer before the single final log,
     so no precision is lost to intermediate powers.
     """
-    _validate_parameters(q, n, d)
-    p = _resolve_modulus(q, n, d, modulus)
-    cosets = ((d - 1) * (q - 1) + 1) * p ** (d - 2)
+    cosets = CodeSpec(q, n, d, power_modulus=modulus).offset_space_size
     return math.log(cosets) / math.log(q)
 
 
@@ -83,9 +63,7 @@ def code_size_lower_bound(
     The largest coset has at least this many members; take the floor for an
     integer guarantee.
     """
-    _validate_parameters(q, n, d)
-    p = _resolve_modulus(q, n, d, modulus)
-    return Fraction(q**n, ((d - 1) * (q - 1) + 1) * p ** (d - 2))
+    return Fraction(q**n, CodeSpec(q, n, d, power_modulus=modulus).offset_space_size)
 
 
 def is_prime_power(q: int) -> bool:
@@ -312,7 +290,7 @@ def generate_table(
         lengths = baseline.lengths_for(q, d)
     rows = []
     for n in sorted(lengths):
-        p = smallest_prime_geq(max(n, q))
+        p = CodeSpec(q, n, d).power_modulus
         display = format_redundancy(redundancy_upper_bound(q, n, d))
         reference = baseline.get(q, n, d)
         strict = Decimal(display) < reference if reference is not None else None

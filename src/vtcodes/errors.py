@@ -2,9 +2,10 @@
 
 The moment syndromes of the error vector form a generalized Reed-Solomon
 syndrome over the prime field with evaluation points 1..n, so the classic
-chain applies: Berlekamp-Massey for the error-locator polynomial, an
-exhaustive root scan over the positions, and the evaluator identity for the
-magnitudes.  Two wrinkles are specific to this family:
+chain applies: Berlekamp-Massey for the error-locator polynomial and an
+exhaustive root scan over the positions.  Once the positions are known the
+magnitudes solve the same moment system the erasure decoder solves, through
+``modarith.solve_moments``.  Two wrinkles are specific to this family:
 
 * The plain-sum syndrome lives modulo ``sum_modulus``; its centered lift is
   the exact integer sum of the error magnitudes and only its mod-prime
@@ -13,9 +14,11 @@ magnitudes.  Two wrinkles are specific to this family:
 
 * When n equals the prime modulus, position n has locator 0 and cannot be
   seen by the locator polynomial.  A second decoding phase hypothesises an
-  error there: the remaining errors are decoded from the moment sequence
-  shifted by one (dropping the plain-sum term), and the magnitude at
-  position n is recovered from the exact integer sum.
+  error there: the other positions come from the moment sequence without
+  its plain-sum term, where position n leaves no trace, and position n
+  joins them as one more node of the magnitude solve (node n is node 0
+  mod the prime).  A magnitude is below the prime in absolute value, so
+  its residue lifts to it exactly.
 
 The word is read only through the working form ``core.validate_word``
 makes of it, an int64 array or a list of Python ints that the decoder
@@ -41,7 +44,7 @@ from .core import (
     validate_offset,
     validate_word,
 )
-from .modarith import eval_poly_mod, inv_mod, validate_prime_modulus
+from .modarith import eval_poly_mod, inv_mod, solve_moments, validate_prime_modulus
 
 
 class UncorrectableError(Exception):
@@ -168,24 +171,15 @@ class ErrorVector:
                 raise ValueError(f"zero magnitude at position {pos}")
             last = pos
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(pos for pos, _ in self.entries)
-
-    @property
-    def weight(self) -> int:
-        return len(self.entries)
-
-    def correct(self, received: Word) -> Word:
-        out = list(received)
-        for pos, mag in self.entries:
-            out[pos - 1] -= mag
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class KeyEquationState:
-    """Syndromes with the locator/evaluator pair derived from them."""
+    """Syndromes with the locator/evaluator pair derived from them.
+
+    The evaluator is validated against syndromes * locator, but decoding
+    reads only the locator and the syndromes: the magnitudes solve the
+    moment system at the locator's roots.
+    """
 
     syndromes: tuple[int, ...]
     locator: tuple[int, ...]
@@ -229,34 +223,25 @@ def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
 
 def _magnitude_entries(
     lam: list[int],
-    omega: list[int],
+    moments: list[int],
     spec: CodeSpec,
     received: Word,
-    first_moment: int,
+    extra: tuple[int, ...] = (),
 ) -> list[tuple[int, int]] | None:
-    """Root scan plus evaluator identity; None on any inconsistency.
+    """Root scan plus moment solve; None on any inconsistency.
 
-    ``first_moment`` names the lowest moment present in the syndrome
-    sequence the pair was built from (0 for the full sequence, 1 when the
-    plain-sum term was dropped); it only changes the magnitude formula by
-    one locator factor.
+    The nodes are the locator's roots and the ``extra`` positions; their
+    magnitudes solve the first moments mod the prime (more nodes than
+    moments leave them undetermined).  Each residue is lifted to the
+    unique integer that pulls the received symbol back into the alphabet.
     """
     p = spec.power_modulus
-    deg = len(lam) - 1
-    roots = _locator_roots(lam, spec)
-    if len(roots) != deg:
+    roots = _locator_roots(lam, spec) if len(lam) > 1 else []
+    nodes = roots + list(extra)
+    if len(roots) != len(lam) - 1 or len(nodes) > len(moments):
         return None
-    deriv = [i * c % p for i, c in enumerate(lam)][1:]
     entries = []
-    for k in roots:
-        x = k % p
-        xinv = inv_mod(x, p)
-        denom = eval_poly_mod(deriv, xinv, p)
-        if denom == 0:
-            return None
-        residue = (-eval_poly_mod(omega, xinv, p) * inv_mod(denom, p)) % p
-        if first_moment == 0:
-            residue = residue * x % p
+    for k, residue in zip(nodes, solve_moments(nodes, moments, p)):
         if residue == 0:
             return None
         sent = (received[k - 1] - residue) % p
@@ -276,7 +261,7 @@ def locate_and_evaluate(
     the root count disagrees with the locator degree or a lift fails.
     """
     entries = _magnitude_entries(
-        list(state.locator), list(state.evaluator), spec, received, 0
+        list(state.locator), list(state.syndromes), spec, received
     )
     if entries is None:
         raise UncorrectableError("locator roots or magnitudes are inconsistent")
@@ -314,30 +299,21 @@ def _attempt(
     spec: CodeSpec,
     offset: Offset,
     moments: list[int],
-    first_moment: int,
     max_errors: int,
-    zero_locator_shift: int | None,
+    phase_two: bool,
 ) -> Word | None:
-    p = spec.power_modulus
-    lam, length = berlekamp_massey(moments, p)
+    """One decoding phase; phase two puts an error at position n (n = p).
+
+    Phase two runs Berlekamp-Massey without the plain-sum moment, in which
+    position n leaves no trace, and solves position n as one more node.
+    """
+    lam, length = berlekamp_massey(moments[phase_two:], spec.power_modulus)
     if length > max_errors or len(lam) - 1 != length:
         return None
-    if length == 0:
-        entries: list[tuple[int, int]] = []
-    else:
-        omega = _poly_mul_trunc(lam, moments, p, len(moments))
-        entries = _magnitude_entries(lam, omega, spec, symbols, first_moment)
-        if entries is None:
-            return None
-    if zero_locator_shift is not None:
-        # Phase two: the exact integer sum pins the magnitude at position n.
-        magnitude = zero_locator_shift - sum(e for _, e in entries)
-        if magnitude == 0:
-            return None
-        sent = symbols[spec.n - 1] - magnitude
-        if not 0 <= sent < spec.q:
-            return None
-        entries = entries + [(spec.n, magnitude)]
+    extra = (spec.n,) if phase_two else ()
+    entries = _magnitude_entries(lam, moments, spec, symbols, extra)
+    if entries is None:
+        return None
     return _corrected(received, symbols, entries, spec, offset)
 
 
@@ -353,11 +329,10 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
         return _as_tuple(received, symbols)
     p = spec.power_modulus
     radius = spec.correction_radius
-    result = _attempt(
-        received, symbols, spec, offset, [shift % p, *tail], 0, radius, None
-    )
+    moments = [shift % p, *tail]
+    result = _attempt(received, symbols, spec, offset, moments, radius, False)
     if result is None and spec.n == p:
-        result = _attempt(received, symbols, spec, offset, tail, 1, radius - 1, shift)
+        result = _attempt(received, symbols, spec, offset, moments, radius - 1, True)
     if result is None:
         raise UncorrectableError(
             f"no coset member within {radius} substitutions of the received word"

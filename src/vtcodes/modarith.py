@@ -124,6 +124,11 @@ def solve_moments(nodes, rhs, modulus: int) -> tuple[int, ...]:
     no special case; nodes that collide there leave P' zero and raise
     ValueError.  Only the first len(nodes) entries of ``rhs`` are read.
     Returns residues in [0, modulus).
+
+    Both decoders find values at known positions through it:
+    ``erasure.decode_erasures`` at the erased positions, and
+    ``errors._magnitude_entries`` at the error locator's roots plus, in
+    the second phase at n = p, position n.
     """
     p = modulus
     m = len(nodes)

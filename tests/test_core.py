@@ -252,7 +252,7 @@ def test_public_surface():
         "ERASURE_MARK", "ErrorVector", "InconsistentWordError", "KeyEquationState",
         "LengthBound", "LinearBaseline", "UncorrectableError", "VerificationReport",
         "admissible_prime_lengths", "berlekamp_massey", "best_offset_search",
-        "centered_lift", "checksum", "code_size_lower_bound", "compute_error_syndrome",
+        "checksum", "code_size_lower_bound", "compute_error_syndrome",
         "coset_partition", "decode_check_sweep", "decode_erasures", "decode_errors",
         "distance_sweep", "enumerate_codewords", "exhaustive_decode_check",
         "format_offset", "format_redundancy", "format_word", "generate_table",

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcodes.core import (
+    _VECTOR_MIN_LENGTH,
     CodeSpec,
+    checksum,
     enumerate_codewords,
     hamming_distance,
     is_codeword,
@@ -109,10 +111,7 @@ def test_berlekamp_massey_two_errors():
 
 
 def test_error_vector_validation():
-    ev = ErrorVector(((2, 1), (5, -2)))
-    assert ev.weight == 2
-    assert ev.support == frozenset({2, 5})
-    assert ev.correct((0, 1, 0, 0, 3, 0)) == (0, 0, 0, 0, 5, 0)
+    assert ErrorVector(((2, 1), (5, -2))).entries == ((2, 1), (5, -2))
     with pytest.raises(ValueError):
         ErrorVector(((5, 1), (2, 1)))  # out of order
     with pytest.raises(ValueError):
@@ -151,7 +150,10 @@ def test_locate_and_evaluate_two_errors():
     )
     ev = locate_and_evaluate(state, spec, received)
     assert ev.entries == ((2, 1), (5, 2))
-    assert ev.correct(received) == sent
+    corrected = list(received)
+    for pos, mag in ev.entries:
+        corrected[pos - 1] -= mag
+    assert tuple(corrected) == sent
 
 
 def test_locate_and_evaluate_rejects_rootless_locator():
@@ -164,6 +166,17 @@ def test_locate_and_evaluate_rejects_rootless_locator():
     )
     with pytest.raises(UncorrectableError):
         locate_and_evaluate(state, spec, received)
+
+
+def test_locate_and_evaluate_rejects_more_roots_than_syndromes():
+    # (1 - z)(1 - 2z)(1 - 3z) mod 7 locates positions 1, 2 and 3, but two
+    # syndromes cannot pin three magnitudes.
+    spec = CodeSpec(7, 6, 5)
+    state = KeyEquationState(
+        syndromes=(0, 0), locator=(1, 1, 4, 1), evaluator=(0,), modulus=7
+    )
+    with pytest.raises(UncorrectableError):
+        locate_and_evaluate(state, spec, (1, 1, 1, 0, 0, 0))
 
 
 def test_decode_single_error_known_answer():
@@ -276,6 +289,42 @@ def test_scan_and_direct_agree_on_non_codewords():
         assert _decoded_or_none(decode_errors, received, spec, offset) == (
             _decoded_or_none(_scan_decode, received, spec, offset)
         )
+
+
+def _patterns_within(n, q, radius):
+    """Every error support of weight 1 .. radius with every nonzero bump, as
+    (0-based position, bump) pairs."""
+    for weight in range(1, radius + 1):
+        for support in itertools.combinations(range(n), weight):
+            for bumps in itertools.product(range(1, q), repeat=weight):
+                yield tuple(zip(support, bumps))
+
+
+@pytest.mark.parametrize(
+    "spec, count", [(CodeSpec(3, 67, 5), 8978), (CodeSpec(3, 64, 5), 8192)]
+)
+def test_every_pattern_within_the_radius_on_the_vectorised_path(spec, count):
+    # n = p puts position n, and so the second phase, among the patterns;
+    # n < p does not.  The patterns take turns over a few sent words.
+    assert spec.n >= _VECTOR_MIN_LENGTH
+    rng = random.Random(spec.n)
+    sent_words = [tuple(rng.randrange(spec.q) for _ in range(spec.n)) for _ in range(3)]
+    offsets = [
+        (
+            checksum(w, 0) % spec.sum_modulus,
+            *(checksum(w, j) % spec.power_modulus for j in range(1, spec.d - 1)),
+        )
+        for w in sent_words
+    ]
+    decoded = 0
+    for i, pattern in enumerate(_patterns_within(spec.n, spec.q, spec.correction_radius)):
+        sent, offset = sent_words[i % 3], offsets[i % 3]
+        received = list(sent)
+        for k, bump in pattern:
+            received[k] = (received[k] + bump) % spec.q
+        assert decode_errors(tuple(received), spec, offset) == sent, pattern
+        decoded += 1
+    assert decoded == count
 
 
 # Bounds the scan's n*q candidates per word, which keeps the test under a second.
