@@ -1,6 +1,6 @@
 """Mutation check: does the test suite catch known faults in the decoders?
 
-    python3 tools/mutants.py [--only a,b] [--timeout 900]
+    python3 tools/mutants.py
 
 Each mutant names one source edit, a text that must occur exactly once in
 a file under src/vtcodes and what replaces it.  For each mutant the script
@@ -10,15 +10,14 @@ with -x.  A mutant is "killed" when pytest reports a failure and
 "survived" when the whole suite passes; the checkout itself is never
 written.  An edit whose text is not found exactly once is reported as
 "stale" (the source moved on and the mutant needs updating), and a run
-that ends in anything but pass or fail as "error".  The script prints one
-line per mutant and exits 1 if any mutant survived or could not be run.
-It is not part of the test suite: each mutant costs up to a full Tier-1
-run.
+that ends in anything but pass or fail, or takes longer than TIMEOUT_S, as
+"error".  The script prints one line per mutant and exits 1 if any mutant
+survived or could not be run.  It is not part of the test suite: each
+mutant costs up to a full Tier-1 run.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -30,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "BENCHMARK.json", "pyproject.toml")
+TIMEOUT_S = 900  # a mutant that makes the suite hang counts as "error"
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ MUTANTS = (
 )
 
 
-def run_mutant(mutant: Mutant, timeout: float) -> tuple[str, str]:
+def run_mutant(mutant: Mutant) -> tuple[str, str]:
     """(outcome, detail) for one mutant, run in a fresh temporary copy."""
     with tempfile.TemporaryDirectory(prefix="vtcodes-mutant-") as tmp:
         copy = Path(tmp)
@@ -106,11 +106,11 @@ def run_mutant(mutant: Mutant, timeout: float) -> tuple[str, str]:
                 env={**os.environ, "PYTHONPATH": str(copy / "src")},
                 capture_output=True,
                 text=True,
-                timeout=timeout,
+                timeout=TIMEOUT_S,
                 check=False,
             )
         except subprocess.TimeoutExpired:
-            return "error", f"no result within {timeout:g} s"
+            return "error", f"no result within {TIMEOUT_S} s"
     if proc.returncode == 0:
         return "survived", "every test passed"
     if proc.returncode == 1:
@@ -119,20 +119,10 @@ def run_mutant(mutant: Mutant, timeout: float) -> tuple[str, str]:
     return "error", f"pytest exited {proc.returncode}: {proc.stdout.strip()[-300:]}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", default="", help="comma-separated mutant keys, e.g. a,b")
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per mutant")
-    args = parser.parse_args(argv)
-    chosen = {k.strip() for k in args.only.split(",") if k.strip()}
-    unknown = chosen - {m.key for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutant keys: {', '.join(sorted(unknown))}")
+def main() -> int:
     clean = True
     for mutant in MUTANTS:
-        if chosen and mutant.key not in chosen:
-            continue
-        outcome, detail = run_mutant(mutant, args.timeout)
+        outcome, detail = run_mutant(mutant)
         clean &= outcome == "killed"
         print(f"({mutant.key}) {mutant.name}: {outcome} ({detail})", flush=True)
     return 0 if clean else 1
