@@ -20,12 +20,12 @@ from .bounds import (
     LinearBaseline,
     admissible_prime_lengths,
     code_size_lower_bound,
-    format_redundancy,
     generate_table,
     improvement_interval_defect0,
     improvement_interval_defect1,
     is_prime_power,
     prime_length_report,
+    redundancy_display,
     redundancy_upper_bound,
 )
 from .core import (
@@ -94,7 +94,6 @@ __all__ = [
     "enumerate_codewords",
     "exhaustive_decode_check",
     "format_offset",
-    "format_redundancy",
     "format_word",
     "generate_table",
     "hamming_distance",
@@ -108,6 +107,7 @@ __all__ = [
     "parse_word",
     "partition_check",
     "prime_length_report",
+    "redundancy_display",
     "redundancy_upper_bound",
     "smallest_prime_geq",
     "syndrome_profile",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from importlib import resources
 
@@ -38,9 +37,33 @@ _PUBLISHED_SINGLE: dict[tuple[int, int], str] = {
 }
 
 
-def format_redundancy(value: float) -> str:
-    """Two decimal places, ties rounded away from zero ("half up")."""
-    return str(Decimal(value).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+def _hundredths(q: int, cosets: int) -> int:
+    """log_q(cosets) in hundredths, ties rounded half up, in exact integers.
+
+    Half-up rounding gives k exactly when k - 1/2 <= 100 * log_q(cosets),
+    that is q**(2k-1) <= cosets**200.  A float estimate is corrected by
+    those integer comparisons, so no rounding of the log can move a digit.
+    """
+    target = cosets**200
+    k = round(100 * math.log(cosets) / math.log(q))
+    while q ** (2 * k - 1) > target:
+        k -= 1
+    while q ** (2 * k + 1) <= target:
+        k += 1
+    return k
+
+
+def _two_places(hundredths: int) -> str:
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
+
+
+def redundancy_display(q: int, n: int, d: int, modulus: int | None = None) -> str:
+    """redundancy_upper_bound to two decimal places, ties rounded half up.
+
+    Formed from the exact coset count, never from the float bound.
+    """
+    cosets = CodeSpec(q, n, d, power_modulus=modulus).offset_space_size
+    return _two_places(_hundredths(q, cosets))
 
 
 def redundancy_upper_bound(
@@ -179,7 +202,7 @@ def prime_length_report(q: int, d: int) -> list[LengthBound]:
     published = _PUBLISHED_SINGLE.get((q, d))
     rows = []
     for n in sorted(admissible_prime_lengths(q, d)):
-        display = format_redundancy(redundancy_upper_bound(q, n, d, modulus=n))
+        display = redundancy_display(q, n, d, modulus=n)
         note = None
         if published is not None and published != display:
             note = (
@@ -290,10 +313,11 @@ def generate_table(
         lengths = baseline.lengths_for(q, d)
     rows = []
     for n in sorted(lengths):
-        p = CodeSpec(q, n, d).power_modulus
-        display = format_redundancy(redundancy_upper_bound(q, n, d))
+        spec = CodeSpec(q, n, d)
+        p = spec.power_modulus
+        hundredths = _hundredths(q, spec.offset_space_size)
         reference = baseline.get(q, n, d)
-        strict = Decimal(display) < reference if reference is not None else None
+        strict = hundredths < 100 * reference if reference is not None else None
         note = None
         revised = _REVISED_ROWS.get((q, n, d))
         if revised is not None:
@@ -308,7 +332,7 @@ def generate_table(
                 q=q,
                 n=n,
                 d=d,
-                redundancy_upper=display,
+                redundancy_upper=_two_places(hundredths),
                 modulus_used=p,
                 linear_baseline=reference,
                 strict_improvement=strict,

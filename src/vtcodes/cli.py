@@ -18,12 +18,11 @@ import sys
 
 from .bounds import (
     LinearBaseline,
-    format_redundancy,
     generate_table,
     improvement_interval_defect0,
     improvement_interval_defect1,
     prime_length_report,
-    redundancy_upper_bound,
+    redundancy_display,
 )
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -209,7 +208,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
     def decode(label: str, text: str) -> bool:
         word = parse_word(text)
-        if any(s is None for s in word):
+        if None in word:
             decoded = decode_erasures(word, spec, offset)
         else:
             decoded = decode_errors(word, spec, offset)
@@ -241,8 +240,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    value = redundancy_upper_bound(args.q, args.n, args.d, modulus=args.modulus)
-    display = format_redundancy(value)
+    display = redundancy_display(args.q, args.n, args.d, modulus=args.modulus)
     _emit(args, {"q": args.q, "n": args.n, "d": args.d, "redundancy_upper": display}, display)
     return 0
 

@@ -14,8 +14,10 @@ comma-separated residue vector ("b0,b1,...").
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
+import re
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,6 +45,10 @@ _BLAS_SLAB = 1 << 18
 # that glibc gives back to the OS after each call cost page faults on the
 # next.
 _SLAB_ENTRIES = 1 << 13
+# A line made of these characters only is parsed by the JSON scanner in
+# one C call.  Within them JSON takes exactly the canonical non-negative
+# integers and a standalone '?' (as null), on which it agrees with int().
+_PLAIN_WORD = re.compile(r"[0-9?, \t]*").fullmatch
 
 Word = tuple
 Offset = tuple
@@ -108,7 +114,21 @@ class CodeSpec:
 
 
 def parse_word(text: str) -> Word:
-    """Parse "1,?,0,1,1" into a tuple with None at erased positions."""
+    """Parse "1,?,0,1,1" into a tuple with None at erased positions.
+
+    A symbol is a base-10 integer as int() takes it, or '?'; each may be
+    padded by whitespace.  Plain lines take one JSON scan; the rest (and
+    any line that scan rejects) take the loop below, which gives every
+    error message.
+    """
+    if _PLAIN_WORD(text):
+        try:
+            out = json.loads("[" + text.replace(ERASURE_MARK, "null") + "]")
+        except ValueError:
+            pass
+        else:
+            if out:
+                return tuple(out)
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         raise ValueError("empty word")

@@ -4,48 +4,74 @@ from fractions import Fraction
 
 import pytest
 
+from vtcodes import bounds
 from vtcodes.bounds import (
     LinearBaseline,
     admissible_prime_lengths,
     code_size_lower_bound,
-    format_redundancy,
     generate_table,
     improvement_interval_defect0,
     improvement_interval_defect1,
     is_prime_power,
     prime_length_report,
+    redundancy_display,
     redundancy_upper_bound,
 )
 from vtcodes.modarith import smallest_prime_geq
 
 
-def test_format_redundancy_rounds_half_up():
-    assert format_redundancy(3.665458) == "3.67"
-    assert format_redundancy(3.875) == "3.88"  # exact binary tie goes up
-    assert format_redundancy(2.5) == "2.50"
-    assert format_redundancy(4.996) == "5.00"
-    assert format_redundancy(3.0) == "3.00"
+def test_redundancy_display_rounds_half_up():
+    # Exact ties and near-ties, which a float log can land on either side of.
+    assert bounds._hundredths(2**200, 2**7) == 4  # log = 0.035 exactly: up
+    assert bounds._hundredths(2**200, 2**7 - 1) == 3
+    assert bounds._hundredths(4, 2**7) == 350  # log_4(128) = 3.5 exactly
+    assert bounds._hundredths(10, 10**5) == 500
+    assert bounds._hundredths(10, 10**5 - 1) == 500  # 4.999995...
+    assert bounds._two_places(4) == "0.04"
+    assert bounds._two_places(350) == "3.50"
+    assert redundancy_display(4, 22, 3) == "3.67"  # log_4(7 * 23) = 3.6654...
+    # log_9(17 * 383) = 3.99996...: half up lands on 4.00
+    assert redundancy_display(9, 383, 3, modulus=383) == "4.00"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_table_displays_bracket_the_exact_bound(q, d):
+    # The display k/100 is the half-up rounding of log_q(cosets) exactly when
+    # (2k-1)/200 <= log_q(cosets) < (2k+1)/200, i.e. when
+    # q**(2k-1) <= cosets**200 < q**(2k+1).  The coset count is rebuilt from
+    # the row's modulus, and the strict flag from the displayed digits.
+    lengths = list(range(max(d, q + 2), max(d, q + 2) + 40))
+    for row in generate_table(q, d) + generate_table(q, d, lengths=lengths):
+        cosets = ((d - 1) * (q - 1) + 1) * row.modulus_used ** (d - 2)
+        k = int(row.redundancy_upper.replace(".", ""))
+        assert q ** (2 * k - 1) <= cosets**200 < q ** (2 * k + 1)
+        assert row.redundancy_upper == redundancy_display(q, row.n, d)
+        if row.linear_baseline is not None:
+            assert row.strict_improvement == (
+                Fraction(row.redundancy_upper) < row.linear_baseline
+            )
 
 
 def test_redundancy_upper_bound_values():
     assert math.isclose(
         redundancy_upper_bound(4, 22, 3), math.log2(7 * 23) / 2, rel_tol=1e-12
     )
-    assert format_redundancy(redundancy_upper_bound(4, 22, 3)) == "3.67"
-    assert format_redundancy(redundancy_upper_bound(4, 24, 3)) == "3.83"
-    assert format_redundancy(redundancy_upper_bound(4, 30, 3)) == "3.88"
-    assert format_redundancy(redundancy_upper_bound(4, 86, 3)) == "4.64"
-    assert format_redundancy(redundancy_upper_bound(4, 90, 3)) == "4.70"
-    assert format_redundancy(redundancy_upper_bound(3, 122, 3)) == "5.87"
+    assert redundancy_display(4, 22, 3) == "3.67"
+    assert redundancy_display(4, 24, 3) == "3.83"
+    assert redundancy_display(4, 30, 3) == "3.88"
+    assert redundancy_display(4, 86, 3) == "4.64"
+    assert redundancy_display(4, 90, 3) == "4.70"
+    assert redundancy_display(3, 122, 3) == "5.87"
 
 
 def test_redundancy_upper_bound_with_override():
-    assert format_redundancy(redundancy_upper_bound(9, 41, 3, modulus=41)) == "2.98"
+    assert redundancy_display(9, 41, 3, modulus=41) == "2.98"
     # the exact value is just below 4; half-up display lands on 4.00
     value = redundancy_upper_bound(9, 383, 3, modulus=383)
     assert math.isclose(value, math.log(17 * 383) / math.log(9), rel_tol=1e-12)
     assert value < 4
-    assert format_redundancy(value) == "4.00"
+    assert redundancy_display(9, 383, 3, modulus=383) == "4.00"
 
 
 def test_redundancy_upper_bound_validation():

@@ -1,12 +1,13 @@
 import json
+import random
 
 import pytest
 
 from vtcodes.bounds import generate_table, prime_length_report
 from vtcodes.cli import BUDGET_ENV_VAR, SplitMix64, corrupt, main
 from vtcodes.core import CodeSpec, format_offset, format_word, parse_word, syndrome_profile
-from vtcodes.erasure import decode_erasures
-from vtcodes.errors import decode_errors
+from vtcodes.erasure import InconsistentWordError, decode_erasures
+from vtcodes.errors import UncorrectableError, decode_errors
 
 
 def test_splitmix64_reference_sequence():
@@ -397,3 +398,80 @@ def test_cli_word_file_problems_are_usage_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["word 1: codeword"]
     assert "word 2: error: bad symbol" in captured.err
+
+
+def _golden_word_file(spec, seed):
+    """Seeded file lines for CodeSpec(256, 1000, 9), each paired with the word
+    it holds, the parse error of a malformed line, or None for a comment or a
+    blank; plus the offset of the sent word."""
+    rng = random.Random(seed)
+    sent = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+
+    def damaged(errors, erasures):
+        out = list(sent)
+        positions = rng.sample(range(spec.n), errors + erasures)
+        for k in positions[:errors]:
+            out[k] = (out[k] + rng.randrange(1, spec.q)) % spec.q
+        for k in positions[errors:]:
+            out[k] = None
+        return tuple(out)
+
+    words = [sent, sent]
+    words += [damaged(t, 0) for t in (1, 2, 3, 4)]
+    words += [damaged(0, e) for e in (1, 2, 5, 8)]
+    lines = [("# golden word file", None), ("", None)]
+    lines += [(format_word(word), word) for word in words]
+    lines[3] = (lines[3][0] + "  # clean, with a comment", sent)
+    malformed = list(map(str, sent))
+    malformed[5] = "0x1"
+    lines.append((",".join(malformed), "bad symbol '0x1' in word"))
+    leading = damaged(1, 0)
+    padded = list(map(str, leading))
+    padded[7] = "00" + padded[7]
+    lines.append((",".join(padded), leading))
+    beyond = damaged(5, 0)
+    lines.append((format_word(beyond), beyond))
+    return lines, syndrome_profile(sent, spec)
+
+
+def test_cli_decode_word_file_golden(tmp_path, capsys):
+    # Every kind of line the decoder meets, in both output modes, against
+    # what the library returns for each word.
+    spec = CodeSpec(256, 1000, 9)
+    lines, offset = _golden_word_file(spec, seed=1809)
+    path = tmp_path / "words.txt"
+    path.write_text("".join(text + "\n" for text, _ in lines))
+    text_out, record_out, err = [], [], []
+    counts = {"decoded": 0, "failed": 0, "malformed": 0}
+    for lineno, (text, word) in enumerate(lines, start=1):
+        label = f"word {lineno}: "
+        if word is None:
+            continue
+        if isinstance(word, str):
+            err.append(f"{label}error: {word}")
+            counts["malformed"] += 1
+            continue
+        try:
+            if None in word:
+                decoded = decode_erasures(word, spec, offset)
+            else:
+                decoded = decode_errors(word, spec, offset)
+        except (InconsistentWordError, UncorrectableError) as exc:
+            err.append(f"{label}decode failed: {exc}")
+            counts["failed"] += 1
+            continue
+        changed = sum(a != b for a, b in zip(word, decoded))
+        err.append(f"{label}unchanged" if changed == 0 else f"{label}corrected {changed} position(s)")
+        text_out.append(format_word(decoded))
+        record_out.append(json.dumps({"decoded": list(decoded), "changed": changed}))
+        counts["decoded"] += 1
+    err.append("summary: " + ", ".join(f"{v} {k}" for k, v in counts.items()))
+    assert counts == {"decoded": 11, "failed": 1, "malformed": 1}
+
+    argv = ["decode", "--q", "256", "--n", "1000", "--d", "9",
+            "--offset", format_offset(offset), "--word-file", str(path)]
+    for prefix, expected_out in (([], text_out), (["--records"], record_out)):
+        assert main(prefix + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "".join(line + "\n" for line in expected_out)
+        assert captured.err.splitlines() == err

@@ -4,6 +4,8 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vtcodes
 from vtcodes.core import (
@@ -79,6 +81,68 @@ def test_parse_and_format_word():
         parse_word("1,-2,0")
     with pytest.raises(ValueError):
         parse_word("")
+
+
+def _reference_parse_word(text):
+    """parse_word as a per-symbol loop: strip each part, then int() it."""
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
+        raise ValueError("empty word")
+    out = []
+    for p in parts:
+        if p == "?":
+            out.append(None)
+        else:
+            try:
+                v = int(p)
+            except ValueError:
+                raise ValueError(f"bad symbol {p!r} in word") from None
+            if v < 0:
+                raise ValueError(f"negative symbol {v} in word")
+            out.append(v)
+    return tuple(out)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# Characters on both sides of the fast path's guard: what JSON and int()
+# read alike, and signs, underscores, decimal points, exponents, a carriage
+# return, a letter and a non-ASCII digit, which only int() (or neither) takes.
+_WORD_ALPHABET = "0123456789?, \t-+_.e\rx\u0663"
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "05", "+5", "1_0", "1.0", "1e3", "??", "1?", ",1", "1,", "null",
+    "true", pytest.param("1," + "7" * 5000, id="5000-digit symbol"),
+    pytest.param("7" * 4300, id="4300-digit symbol"), "0, 00", " ? ,\t3\t", "1\r,2",
+    "\u0663,1", "-0", "1 2", "?,?,?",
+])
+def test_parse_word_matches_the_loop_on_listed_texts(text):
+    assert _parse_outcome(parse_word, text) == _parse_outcome(_reference_parse_word, text)
+
+
+_WORD_TEXTS = st.one_of(
+    st.text(alphabet=_WORD_ALPHABET, max_size=40),
+    st.lists(
+        st.one_of(
+            st.integers(0, 10**20).map(str),
+            st.just("?"),
+            st.text(alphabet=_WORD_ALPHABET, max_size=4),
+        ),
+        max_size=12,
+    ).map(",".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_WORD_TEXTS)
+def test_parse_word_matches_the_loop(text):
+    assert _parse_outcome(parse_word, text) == _parse_outcome(_reference_parse_word, text)
 
 
 def test_parse_and_format_offset():
@@ -255,12 +319,12 @@ def test_public_surface():
         "checksum", "code_size_lower_bound", "compute_error_syndrome",
         "coset_partition", "decode_check_sweep", "decode_erasures", "decode_errors",
         "distance_sweep", "enumerate_codewords", "exhaustive_decode_check",
-        "format_offset", "format_redundancy", "format_word", "generate_table",
+        "format_offset", "format_word", "generate_table",
         "hamming_distance", "improvement_interval_defect0",
         "improvement_interval_defect1", "is_codeword", "is_prime", "is_prime_power",
         "locate_and_evaluate", "parse_offset", "parse_word", "partition_check",
-        "prime_length_report", "redundancy_upper_bound", "smallest_prime_geq",
-        "syndrome_profile", "validate_offset",
+        "prime_length_report", "redundancy_display", "redundancy_upper_bound",
+        "smallest_prime_geq", "syndrome_profile", "validate_offset",
     ]
     public = {
         name

@@ -1,4 +1,4 @@
-"""Mutation check: does the test suite catch known faults in the decoders?
+"""Mutation check: does the test suite catch known faults in the package?
 
     python3 tools/mutants.py
 
@@ -77,6 +77,13 @@ MUTANTS = (
         "src/vtcodes/core.py",
         "hits += (np.flatnonzero(v == qt) + top * width).tolist()",
         "hits += (np.flatnonzero(v == qt) + top * width).tolist()[:-1]",
+    ),
+    Mutant(
+        "f",
+        "parse_word's fast path without its guard",
+        "src/vtcodes/core.py",
+        "    if _PLAIN_WORD(text):\n",
+        "    if True:\n",
     ),
 )
 
