@@ -307,6 +307,9 @@ def generate_table(
     ``strict_improvement`` compares the displayed (2-decimal) bound against
     the baseline redundancy; it is None when no baseline entry exists.
     """
+    # The shortest code for (q, d) rejects a bad q or d with CodeSpec's own
+    # message, also when no length is listed.
+    CodeSpec(q, d, d)
     if baseline is None:
         baseline = LinearBaseline.bundled()
     if lengths is None:

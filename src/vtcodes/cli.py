@@ -208,14 +208,23 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
     def decode(label: str, text: str) -> bool:
         word = parse_word(text)
-        if None in word:
+        # On a line parse_word accepts, each '?' is one erased symbol, and
+        # decode_erasures fills every erased position and no other.
+        changed = text.count(ERASURE_MARK)
+        if changed:
             decoded = decode_erasures(word, spec, offset)
         else:
             decoded = decode_errors(word, spec, offset)
-        changed = sum(1 for before, after in zip(word, decoded) if before != after)
+            if decoded is not word:
+                changed = sum(1 for before, after in zip(word, decoded) if before != after)
         status = "unchanged" if changed == 0 else f"corrected {changed} position(s)"
         print(f"{label}{status}", file=sys.stderr)
-        _emit(args, {"decoded": list(decoded), "changed": changed}, format_word(decoded))
+        out = format_word(decoded)
+        if args.records:
+            # The bytes json.dumps gives for {"decoded": list(decoded),
+            # "changed": changed}: a decoded word holds only ints.
+            out = '{"decoded": [' + out.replace(",", ", ") + '], "changed": ' + str(changed) + "}"
+        print(out)
         return True
 
     return _run_batch(args, decode, "decoded", "failed")

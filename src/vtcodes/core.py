@@ -148,7 +148,8 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(word: Word) -> str:
-    return ",".join(ERASURE_MARK if s is None else str(s) for s in word)
+    """The text form parse_word reads: symbols joined by ',', '?' for None."""
+    return ",".join([ERASURE_MARK if s is None else str(s) for s in word])
 
 
 def parse_offset(text: str) -> Offset:

@@ -258,6 +258,15 @@ def test_generate_table_custom_lengths():
     assert record["strict_improvement"] is True
 
 
+def test_generate_table_rejects_bad_q_and_d():
+    # Also where no length is listed, which once gave an empty table.
+    for lengths in (None, [5]):
+        with pytest.raises(ValueError, match=r"^alphabet size q=1 must be >= 2$"):
+            generate_table(1, 3, lengths=lengths)
+        with pytest.raises(ValueError, match=r"^designed distance d=2 must be >= 3$"):
+            generate_table(4, 2, lengths=lengths)
+
+
 def test_strict_improvement_uses_displayed_value():
     rows = generate_table(3, 3)
     for row in rows:

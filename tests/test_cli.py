@@ -475,3 +475,75 @@ def test_cli_decode_word_file_golden(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "".join(line + "\n" for line in expected_out)
         assert captured.err.splitlines() == err
+
+
+def _record_lines(spec, seed):
+    """Seeded word-file lines for spec, each with the word parse_word gives
+    for it: clean, every error count up to the radius, every erasure count
+    up to d-1, and two lines that take parse_word's loop path, one with a
+    '?' padded by spaces and a tab."""
+    rng = random.Random(seed)
+    sent = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+
+    def damaged(errors, erasures):
+        out = list(sent)
+        positions = rng.sample(range(spec.n), errors + erasures)
+        for k in positions[:errors]:
+            out[k] = (out[k] + rng.randrange(1, spec.q)) % spec.q
+        for k in positions[errors:]:
+            out[k] = None
+        return tuple(out)
+
+    words = [sent]
+    words += [damaged(t, 0) for t in range(1, spec.correction_radius + 1)]
+    words += [damaged(0, e) for e in range(1, spec.d)]
+    lines = [(format_word(word), word) for word in words]
+    for errors, erasures in ((1, 0), (0, 2)):
+        word = damaged(errors, erasures)
+        parts = [" ?\t" if s is None else str(s) for s in word]
+        k = next(i for i, s in enumerate(word) if s is not None)
+        parts[k] = "+" + parts[k]
+        lines.append((",".join(parts), word))
+    return lines, syndrome_profile(sent, spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CodeSpec(5, 9, 5), CodeSpec(2**16, 40, 7), CodeSpec(2**16, 300, 7), CodeSpec(2**61, 12, 5)],
+    ids=["plain", "q=2^16-plain", "q=2^16-vector", "q=2^61-plain"],
+)
+def test_cli_decode_record_is_what_json_dumps_writes(tmp_path, capsys, spec):
+    # The record of each line, byte for byte, with `changed` counted over
+    # every position of the received and the decoded word.
+    lines, offset = _record_lines(spec, seed=spec.n)
+    assert all(parse_word(text) == word for text, word in lines)
+    path = tmp_path / "words.txt"
+    path.write_text("".join(text + "\n" for text, _ in lines))
+    text_out, record_out = [], []
+    for _, word in lines:
+        if None in word:
+            decoded = decode_erasures(word, spec, offset)
+        else:
+            decoded = decode_errors(word, spec, offset)
+        changed = sum(a != b for a, b in zip(word, decoded))
+        text_out.append(format_word(decoded))
+        record_out.append(json.dumps({"decoded": list(decoded), "changed": changed}))
+    argv = ["decode", "--q", str(spec.q), "--n", str(spec.n), "--d", str(spec.d),
+            "--offset", format_offset(offset), "--word-file", str(path)]
+    for prefix, expected_out in (([], text_out), (["--records"], record_out)):
+        assert main(prefix + argv) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected_out)
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["text", "records"])
+@pytest.mark.parametrize(
+    "q, d, message",
+    [("1", "3", "alphabet size q=1 must be >= 2"),
+     ("4", "2", "designed distance d=2 must be >= 3")],
+)
+def test_cli_tables_rejects_bad_q_or_d(capsys, records, q, d, message):
+    prefix = ["--records"] if records else []
+    assert main(prefix + ["tables", "--q", q, "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -85,6 +85,13 @@ MUTANTS = (
         "    if _PLAIN_WORD(text):\n",
         "    if True:\n",
     ),
+    Mutant(
+        "g",
+        "the decode record built without the ', ' separators",
+        "src/vtcodes/cli.py",
+        'out.replace(",", ", ")',
+        "out",
+    ),
 )
 
 
