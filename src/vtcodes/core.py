@@ -319,20 +319,37 @@ def _as_tuple(word: Word, symbols: Symbols, changed=()) -> Word:
     return tuple(out)
 
 
-def validate_offset(offset: Offset, spec: CodeSpec) -> None:
+def validate_offset(offset: Offset, spec: CodeSpec) -> tuple[int, ...]:
+    """Check an offset against the spec; return it as a tuple of Python ints.
+
+    Entry 0 lies in [0, sum_modulus), the others in [0, power_modulus).  Any
+    other integer type, a numpy scalar for one, goes through
+    ``operator.index``, since it would wrap, or raise, in the exact sums the
+    decoders form from it; a bool or a non-integer raises ValueError.
+    """
     if len(offset) != spec.checksum_count:
         raise ValueError(
             f"offset length {len(offset)} != d-1 = {spec.checksum_count}"
         )
-    if not 0 <= offset[0] < spec.sum_modulus:
-        raise ValueError(
-            f"offset[0] = {offset[0]} outside [0, {spec.sum_modulus - 1}]"
-        )
-    for j, v in enumerate(offset[1:], start=1):
-        if not 0 <= v < spec.power_modulus:
-            raise ValueError(
-                f"offset[{j}] = {v} outside [0, {spec.power_modulus - 1}]"
-            )
+    values = tuple(offset)
+    bound = spec.sum_modulus
+    for j, v in enumerate(values):
+        if type(v) is not int:
+            v = _offset_entry(v, j)
+            values = values[:j] + (v,) + values[j + 1 :]
+        if not 0 <= v < bound:
+            raise ValueError(f"offset[{j}] = {v} outside [0, {bound - 1}]")
+        bound = spec.power_modulus
+    return values
+
+
+def _offset_entry(v: object, j: int) -> int:
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"offset[{j}] = {v!r} is not an integer")
 
 
 def checksum(word: Word, j: int) -> int:
@@ -533,8 +550,8 @@ def syndrome_profile(word: Word, spec: CodeSpec) -> tuple[int, ...]:
 
 
 def is_codeword(word: Word, spec: CodeSpec, offset: Offset) -> bool:
-    validate_offset(offset, spec)
-    return _profile_of(validate_word(word, spec)[0], spec) == tuple(offset)
+    target = validate_offset(offset, spec)
+    return _profile_of(validate_word(word, spec)[0], spec) == target
 
 
 def _check_budget(spec: CodeSpec, budget: int) -> None:
@@ -553,9 +570,8 @@ def enumerate_codewords(
     Scans the full cube of q**n words and therefore refuses to start when
     that count exceeds ``budget``.
     """
-    validate_offset(offset, spec)
+    target = validate_offset(offset, spec)
     _check_budget(spec, budget)
-    target = tuple(offset)
     return [
         w
         for w in itertools.product(range(spec.q), repeat=spec.n)

@@ -42,7 +42,7 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     a recovered symbol falls outside [0, q-1], a residual moment equation
     fails, or the completed word is not a coset member.
     """
-    validate_offset(offset, spec)
+    offset = validate_offset(offset, spec)
     symbols, erased = validate_word(word, spec, allow_erasures=True)
     m = len(erased)
     if m > spec.d - 1:

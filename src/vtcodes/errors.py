@@ -44,7 +44,7 @@ from .core import (
     validate_offset,
     validate_word,
 )
-from .modarith import eval_poly_mod, inv_mod, solve_moments, validate_prime_modulus
+from .modarith import inv_mod, solve_moments, validate_prime_modulus
 
 
 class UncorrectableError(Exception):
@@ -67,7 +67,7 @@ def _syndrome_parts(
     """(exact integer sum of error magnitudes, weighted syndromes mod prime,
     the word's working form from validate_word).
     """
-    validate_offset(offset, spec)
+    offset = validate_offset(offset, spec)
     symbols, _ = validate_word(received, spec)
     plain, weighted = _masked_sums(symbols, spec)
     shift = centered_lift(plain - offset[0], spec.sum_modulus)
@@ -99,43 +99,44 @@ def berlekamp_massey(
     degree equals the register length exactly when the sequence is
     consistent with that many error locations, so callers treat a mismatch
     as a decoding failure.
+
+    Massey's algorithm ("Shift-register synthesis and BCH decoding", 1969)
+    on two coefficient lists of fixed length, updated in place.  A
+    discrepancy is summed in plain ints and reduced once, and the previous
+    discrepancy is inverted only when the register length changes.
     """
-    lam = [1]
-    prev = [1]
+    p = modulus
+    seq = [s % p for s in syndromes]
+    lam = [1] + [0] * len(seq)
+    prev = lam[:]
     length = 0
     gap = 1
-    prev_disc = 1
-    for i, s in enumerate(syndromes):
-        disc = s % modulus
-        for j in range(1, min(length, len(lam) - 1) + 1):
-            disc = (disc + lam[j] * syndromes[i - j]) % modulus
+    prev_inv = 1
+    for i, s in enumerate(seq):
+        disc = s
+        for j in range(1, length + 1):
+            disc += lam[j] * seq[i - j]
+        disc %= p
         if disc == 0:
             gap += 1
             continue
-        coef = disc * inv_mod(prev_disc, modulus) % modulus
-        update = [0] * gap + [c * coef % modulus for c in prev]
-        if 2 * length <= i:
+        coef = disc * prev_inv % p
+        grows = 2 * length <= i
+        if grows:
             stash = lam[:]
-            lam = _poly_sub(lam, update, modulus)
+        # x**gap * prev has degree at most i + 1 - length.
+        for j in range(i + 2 - length - gap):
+            lam[j + gap] = (lam[j + gap] - coef * prev[j]) % p
+        if grows:
             prev = stash
-            prev_disc = disc
+            prev_inv = inv_mod(disc, p)
             length = i + 1 - length
             gap = 1
         else:
-            lam = _poly_sub(lam, update, modulus)
             gap += 1
+    while len(lam) > 1 and lam[-1] == 0:
+        lam.pop()
     return lam, length
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], p: int, count: int) -> list[int]:
@@ -205,20 +206,29 @@ class KeyEquationState:
 def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
     """Positions k whose locator (k mod prime) inverts to a root of lam.
 
-    Scans the reversed polynomial at k directly, which avoids one modular
-    inversion per position.  From n = 64 on that is one vectorised pass
-    over the positions through core's power tables, exact in float64 under
-    a 2**53 bound; specs and locators beyond it scan in plain ints.  A
+    Evaluates k**deg * lam(1/k), the reversed polynomial at k, which avoids
+    one modular inversion per position.  From n = 64 on that is one
+    vectorised pass over the positions through core's power tables, exact
+    in float64 under a 2**53 bound; specs and locators beyond it, and every
+    n < 64, run a Horner loop in plain ints over lam's own coefficients.  A
     position with locator 0 (only k = n when n equals the prime) can never
     appear here.
     """
     p = spec.power_modulus
     n = spec.n
-    rev = list(reversed(lam))
-    roots = _position_roots(rev, spec) if n >= _VECTOR_MIN_LENGTH else None
-    if roots is None:
-        roots = [k for k in range(1, n + 1) if eval_poly_mod(rev, k, p) == 0]
-    return [k for k in roots if k % p != 0]
+    if n >= _VECTOR_MIN_LENGTH:
+        roots = _position_roots(lam[::-1], spec)
+        if roots is not None:
+            return [k for k in roots if k % p != 0]
+    # At k = p the loop leaves lam's nonzero leading coefficient.
+    roots = []
+    for k in range(1, n + 1):
+        acc = 0
+        for c in lam:
+            acc = (acc * k + c) % p
+        if acc == 0:
+            roots.append(k)
+    return roots
 
 
 def _magnitude_entries(

@@ -100,7 +100,7 @@ def inv_mod(a: int, modulus: int) -> int:
     a %= modulus
     if a == 0:
         raise ZeroDivisionError(f"0 is not invertible modulo {modulus}")
-    return pow(a, modulus - 2, modulus)
+    return pow(a, -1, modulus)
 
 
 def eval_poly_mod(coeffs: list[int] | tuple[int, ...], x: int, modulus: int) -> int:

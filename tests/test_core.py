@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import re
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,8 @@ from vtcodes.core import (
     validate_offset,
     validate_word,
 )
+from vtcodes.erasure import decode_erasures
+from vtcodes.errors import decode_errors
 
 
 def test_spec_moduli():
@@ -174,6 +178,20 @@ def test_validate_offset():
         validate_offset((3, 0), spec)  # first component lives mod 3
     with pytest.raises(ValueError):
         validate_offset((0, 5), spec)  # second lives mod 5
+
+
+@pytest.mark.parametrize("bad", [0.5, True, np.float64(1.0), "1", None])
+@pytest.mark.parametrize("at", [0, 2])
+def test_offset_entries_must_be_integers(bad, at):
+    spec = CodeSpec(3, 7, 5)
+    offset = [0, 0, 0, 0]
+    offset[at] = bad
+    message = f"offset[{at}] = {bad!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_offset(offset, spec)
+    for call in (is_codeword, decode_errors, decode_erasures):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call((0,) * 7, spec, tuple(offset))
 
 
 def test_checksum_values():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtcodes import core, errors
 from vtcodes.core import (
     _VECTOR_MIN_LENGTH,
     CodeSpec,
@@ -25,7 +26,7 @@ from vtcodes.errors import (
     decode_errors,
     locate_and_evaluate,
 )
-from vtcodes.modarith import smallest_prime_geq
+from vtcodes.modarith import eval_poly_mod, smallest_prime_geq
 
 
 def exact_profile(word, spec):
@@ -108,6 +109,112 @@ def test_berlekamp_massey_two_errors():
     assert length == 2
     # (1 - 2z)(1 - 5z) = 1 - 7z + 10z^2, so 1 + 0z + 3z^2 mod 7
     assert lam == [1, 0, 3]
+
+
+def _reference_berlekamp_massey(syndromes, modulus):
+    """Berlekamp-Massey as the package wrote it before the in-place
+    rewrite, kept as the reference: new lists at every update, and a
+    Fermat inverse of the previous discrepancy at every nonzero one."""
+
+    def poly_sub(a, b, p):
+        out = [0] * max(len(a), len(b))
+        for i, v in enumerate(a):
+            out[i] = v
+        for i, v in enumerate(b):
+            out[i] = (out[i] - v) % p
+        while len(out) > 1 and out[-1] == 0:
+            out.pop()
+        return out
+
+    lam = [1]
+    prev = [1]
+    length = 0
+    gap = 1
+    prev_disc = 1
+    for i, s in enumerate(syndromes):
+        disc = s % modulus
+        for j in range(1, min(length, len(lam) - 1) + 1):
+            disc = (disc + lam[j] * syndromes[i - j]) % modulus
+        if disc == 0:
+            gap += 1
+            continue
+        coef = disc * pow(prev_disc, modulus - 2, modulus) % modulus
+        update = [0] * gap + [c * coef % modulus for c in prev]
+        if 2 * length <= i:
+            stash = lam[:]
+            lam = poly_sub(lam, update, modulus)
+            prev = stash
+            prev_disc = disc
+            length = i + 1 - length
+            gap = 1
+        else:
+            lam = poly_sub(lam, update, modulus)
+            gap += 1
+    return lam, length
+
+
+def _generates(poly, length, sequence, p):
+    """Does the register of this length with this connection polynomial
+    produce the sequence mod p?"""
+    taps = list(poly) + [0] * (length + 1 - len(poly))
+    return all(
+        sum(c * sequence[i - j] for j, c in enumerate(taps)) % p == 0
+        for i in range(length, len(sequence))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.lists(st.one_of(st.integers(-8, 8), st.integers()), max_size=8),
+)
+def test_berlekamp_massey_properties(p, sequence):
+    lam, length = berlekamp_massey(sequence, p)
+    assert (lam, length) == _reference_berlekamp_massey(sequence, p)
+    assert lam[0] == 1 and all(0 <= c < p for c in lam)
+    assert len(lam) == 1 or lam[-1] != 0
+    assert len(lam) - 1 <= length
+    assert _generates(lam, length, sequence, p)
+    if p <= 5:
+        # No shorter register generates it: brute force up to length 3.
+        for shorter in range(min(length, 4)):
+            for taps in itertools.product(range(p), repeat=shorter):
+                assert not _generates((1, *taps), shorter, sequence, p)
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CodeSpec(3, 7, 5), CodeSpec(3, 6, 5), CodeSpec(5, 31, 7), CodeSpec(5, 30, 7), CodeSpec(2**40, 70, 5)],
+    ids=lambda spec: f"q{spec.q}-n{spec.n}-d{spec.d}-p{spec.power_modulus}",
+)
+def test_plain_int_root_scan_matches_a_reference(spec):
+    p, n = spec.power_modulus, spec.n
+    assert n < _VECTOR_MIN_LENGTH or core._power_tables(spec) is None
+    rng = random.Random(n)
+    for _ in range(30):
+        # The locator prod (1 - k x) with positions 1 and n planted (at
+        # n = p the factor for n is 1), times a random factor.
+        lam = [1]
+        for k in (1, n):
+            lam = _poly_mul(lam, [1, -k % p], p)
+        extra = [1] + [rng.randrange(p) for _ in range(rng.randint(0, spec.d - 4))]
+        lam = _poly_mul(lam, extra, p)
+        rev = lam[::-1]
+        expected = [k for k in range(1, n + 1) if k % p and eval_poly_mod(rev, k, p) == 0]
+        got = errors._locator_roots(lam, spec)
+        assert got == expected
+        assert 1 in got
+        assert (n in got) == (n < p)
 
 
 def test_error_vector_validation():

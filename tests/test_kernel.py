@@ -15,7 +15,9 @@ decoders take alphabets too large for the vectorised kernel, and that a bad
 symbol gets the same message on every path.  validate_word's working form
 is checked for every input type on both sides of n = 64: a new object
 holding the symbols, erased positions 0 and listed apart, and Python ints
-only on the plain path, so numpy scalars never reach the exact loops.
+only on the plain path, so numpy scalars never reach the exact loops.  An
+offset of numpy scalars is read as its Python ints, so it decodes as the
+int offset does.
 """
 
 import math
@@ -523,6 +525,41 @@ def test_numpy_scalar_symbols_take_the_exact_loops(spec, dtype):
     masked = list(sent)
     masked[0] = masked[-1] = None
     assert_same_tuple(decode_erasures(scalars(masked), spec, offset), tuple(sent))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize(
+    "spec",
+    [CodeSpec(2**62, 5, 3), CodeSpec(2**60, 70, 3), CodeSpec(3, 7, 5)],
+    ids=["n5", "n70", "small"],
+)
+def test_numpy_scalar_offsets_decode_as_int_offsets(spec, dtype):
+    # Offset entries near 2**63 would wrap, or raise, in numpy arithmetic
+    # against the plain-int sums; validate_offset hands back Python ints.
+    rng = random.Random(spec.n)
+    sent = tuple(rng.randrange(spec.q // 2, spec.q) for _ in range(spec.n))
+    offset = exact_profile(sent, spec)
+    scalars = tuple(dtype(v) for v in offset)
+    checked = core.validate_offset(scalars, spec)
+    assert checked == offset and all(type(v) is int for v in checked)
+    received = list(sent)
+    received[1] = (received[1] - 1) % spec.q
+    received = tuple(received)
+    masked = (None,) + sent[1:-1] + (None,)
+    for form in (offset, scalars, np.array(offset, dtype=dtype)):
+        assert is_codeword(sent, spec, form)
+        assert not is_codeword(received, spec, form)
+        assert_same_tuple(decode_errors(received, spec, form), sent)
+        assert_same_tuple(decode_erasures(masked, spec, form), sent)
+
+
+def test_offset_from_the_overflow_report_decodes():
+    spec = CodeSpec(2**62, 5, 3)
+    top = 2**62 - 1
+    sent = (top, top, 0, 0, 0)
+    offset = tuple(np.uint64(v) for v in syndrome_profile(sent, spec))
+    assert_same_tuple(decode_erasures((None, top, 0, 0, 0), spec, offset), sent)
+    assert_same_tuple(decode_errors((top, top - 1, 0, 0, 0), spec, offset), sent)
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,20 @@ MUTANTS = (
         'out.replace(",", ", ")',
         "out",
     ),
+    Mutant(
+        "h",
+        "Berlekamp-Massey keeps the old previous register on a length change",
+        "src/vtcodes/errors.py",
+        "            prev = stash\n",
+        "",
+    ),
+    Mutant(
+        "i",
+        "the plain-int root scan stops at position n - 1",
+        "src/vtcodes/errors.py",
+        "    for k in range(1, n + 1):\n        acc = 0\n",
+        "    for k in range(1, n):\n        acc = 0\n",
+    ),
 )
 
 
