@@ -23,7 +23,6 @@ from .bounds import (
     generate_table,
     improvement_interval_defect0,
     improvement_interval_defect1,
-    is_prime_power,
     prime_length_report,
     redundancy_display,
     redundancy_upper_bound,
@@ -38,7 +37,6 @@ from .core import (
     enumerate_codewords,
     format_offset,
     format_word,
-    hamming_distance,
     is_codeword,
     parse_offset,
     parse_word,
@@ -55,7 +53,6 @@ from .errors import (
     decode_errors,
     locate_and_evaluate,
 )
-from .modarith import is_prime, smallest_prime_geq
 from .oracle import (
     VerificationReport,
     coset_partition,
@@ -96,12 +93,9 @@ __all__ = [
     "format_offset",
     "format_word",
     "generate_table",
-    "hamming_distance",
     "improvement_interval_defect0",
     "improvement_interval_defect1",
     "is_codeword",
-    "is_prime",
-    "is_prime_power",
     "locate_and_evaluate",
     "parse_offset",
     "parse_word",
@@ -109,7 +103,6 @@ __all__ = [
     "prime_length_report",
     "redundancy_display",
     "redundancy_upper_bound",
-    "smallest_prime_geq",
     "syndrome_profile",
     "validate_offset",
 ]

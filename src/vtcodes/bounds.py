@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .core import CodeSpec
+from .core import CodeSpec, read_integer
 from .modarith import is_prime
 
 _BUNDLED_PROVENANCE = "bundled"
@@ -62,8 +62,8 @@ def redundancy_display(q: int, n: int, d: int, modulus: int | None = None) -> st
 
     Formed from the exact coset count, never from the float bound.
     """
-    cosets = CodeSpec(q, n, d, power_modulus=modulus).offset_space_size
-    return _two_places(_hundredths(q, cosets))
+    spec = CodeSpec(q, n, d, power_modulus=modulus)
+    return _two_places(_hundredths(spec.q, spec.offset_space_size))
 
 
 def redundancy_upper_bound(
@@ -74,8 +74,8 @@ def redundancy_upper_bound(
     The count is formed exactly as an integer before the single final log,
     so no precision is lost to intermediate powers.
     """
-    cosets = CodeSpec(q, n, d, power_modulus=modulus).offset_space_size
-    return math.log(cosets) / math.log(q)
+    spec = CodeSpec(q, n, d, power_modulus=modulus)
+    return math.log(spec.offset_space_size) / math.log(spec.q)
 
 
 def code_size_lower_bound(
@@ -86,10 +86,12 @@ def code_size_lower_bound(
     The largest coset has at least this many members; take the floor for an
     integer guarantee.
     """
-    return Fraction(q**n, CodeSpec(q, n, d, power_modulus=modulus).offset_space_size)
+    spec = CodeSpec(q, n, d, power_modulus=modulus)
+    return Fraction(spec.q**spec.n, spec.offset_space_size)
 
 
 def is_prime_power(q: int) -> bool:
+    q = read_integer(q, f"q = {q!r}")
     if q < 2:
         return False
     base = q
@@ -103,9 +105,11 @@ def is_prime_power(q: int) -> bool:
     return True  # base itself is prime
 
 
-def _require_prime_power(q: int) -> None:
+def _read_prime_power(q: int) -> int:
+    q = read_integer(q, f"q = {q!r}")
     if not is_prime_power(q):
         raise ValueError(f"q={q} is not a prime power")
+    return q
 
 
 def improvement_interval_defect0(q: int) -> tuple[int, int]:
@@ -117,7 +121,7 @@ def improvement_interval_defect0(q: int) -> tuple[int, int]:
     interval.  Empty when the low end exceeds the high end (e.g. q=2 yields
     (4, 1)).
     """
-    _require_prime_power(q)
+    q = _read_prime_power(q)
     return (q + 2, q**3 // (4 * q - 2))
 
 
@@ -128,7 +132,7 @@ def improvement_interval_defect1(q: int) -> tuple[int, int]:
     off the Singleton bound, those codes need redundancy at least 4.  Same
     closed-interval convention as the defect-0 variant.
     """
-    _require_prime_power(q)
+    q = _read_prime_power(q)
     return (q * q + q + 2, q**4 // (4 * q - 2))
 
 
@@ -167,9 +171,8 @@ def admissible_prime_lengths(q: int, d: int) -> set[int]:
     prime powers it stays a conjecture.  For even q the length q+2 is even
     and so never prime, which keeps the hyperoval length out of the range.
     """
-    _require_prime_power(q)
-    if d < 3:
-        raise ValueError(f"designed distance d={d} must be >= 3")
+    q = _read_prime_power(q)
+    d = CodeSpec(q, d, d).d  # the shortest code for (q, d) reads and checks d
     hi = _largest_length(q, d)
     lo = max(q + 2, d + 2)
     return {n for n in range(lo, hi + 1) if is_prime(n)}
@@ -309,15 +312,15 @@ def generate_table(
     """
     # The shortest code for (q, d) rejects a bad q or d with CodeSpec's own
     # message, also when no length is listed.
-    CodeSpec(q, d, d)
+    shortest = CodeSpec(q, d, d)
+    q, d = shortest.q, shortest.d
     if baseline is None:
         baseline = LinearBaseline.bundled()
     if lengths is None:
         lengths = baseline.lengths_for(q, d)
     rows = []
-    for n in sorted(lengths):
-        spec = CodeSpec(q, n, d)
-        p = spec.power_modulus
+    for spec in sorted((CodeSpec(q, n, d) for n in lengths), key=lambda s: s.n):
+        n, p = spec.n, spec.power_modulus
         hundredths = _hundredths(q, spec.offset_space_size)
         reference = baseline.get(q, n, d)
         strict = hundredths < 100 * reference if reference is not None else None

@@ -37,6 +37,7 @@ from .core import (
     is_codeword,
     parse_offset,
     parse_word,
+    read_integer,
     validate_offset,
 )
 from .erasure import InconsistentWordError, decode_erasures
@@ -87,13 +88,20 @@ def corrupt(
     the seed.
     """
     n = len(word)
+    q = read_integer(q, f"q = {q!r}")
+    erasures = read_integer(erasures, f"erasures = {erasures!r}")
+    errors = read_integer(errors, f"errors = {errors!r}")
+    seed = read_integer(seed, f"seed = {seed!r}")
     if q < 2:
         raise ValueError(f"alphabet size q={q} must be >= 2")
     if erasures < 0 or errors < 0:
         raise ValueError("erasure and error counts must be nonnegative")
     if erasures + errors > n:
         raise ValueError(f"cannot corrupt {erasures + errors} of {n} positions")
-    for s in word:
+    out = list(word)
+    for i, s in enumerate(out):
+        if s is not None and type(s) is not int:
+            s = out[i] = read_integer(s, f"symbol {s!r} at position {i + 1}")
         if s is None or not 0 <= s < q:
             raise ValueError(f"symbol {s!r} outside alphabet of size {q}")
     rng = SplitMix64(seed)
@@ -102,7 +110,6 @@ def corrupt(
     for i in range(picked):
         j = i + rng.below(n - i)
         indices[i], indices[j] = indices[j], indices[i]
-    out = list(word)
     for i in indices[:erasures]:
         out[i] = None
     for i in indices[erasures:picked]:
@@ -172,8 +179,16 @@ def _budget_from(args: argparse.Namespace) -> int:
         return args.budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
-        return int(env)
+        return _integer_text(env, f"{BUDGET_ENV_VAR} = {env!r}")
     return DEFAULT_ENUMERATION_BUDGET
+
+
+def _integer_text(text: str, label: str) -> int:
+    """int(text), or read_integer's refusal of the str, under ``label``."""
+    try:
+        return int(text)
+    except ValueError:
+        return read_integer(text, label)
 
 
 def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
@@ -184,9 +199,7 @@ def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
 
 
 def _offset_from(args: argparse.Namespace, spec: CodeSpec) -> Offset:
-    offset = parse_offset(args.offset)
-    validate_offset(offset, spec)
-    return offset
+    return validate_offset(parse_offset(args.offset), spec)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -264,7 +277,7 @@ def _load_baseline(args: argparse.Namespace) -> LinearBaseline:
 def _cmd_tables(args: argparse.Namespace) -> int:
     lengths = None
     if args.lengths is not None:
-        lengths = [int(f) for f in args.lengths.split(",")]
+        lengths = [_integer_text(f, f"--lengths entry {f!r}") for f in args.lengths.split(",")]
     rows = generate_table(args.q, args.d, lengths=lengths, baseline=_load_baseline(args))
     if args.records:
         for row in rows:

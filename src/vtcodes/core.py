@@ -60,6 +60,18 @@ class BudgetExceededError(RuntimeError):
     """Raised instead of silently launching an over-budget enumeration."""
 
 
+def read_integer(value: object, label: str) -> int:
+    """Every integer the package takes, as a Python int: what operator.index
+    accepts (bools read as 0 and 1), or ValueError naming ``label`` (a float,
+    ``np.bool_``, ``Fraction``, ``Decimal``, str)."""
+    if type(value) is int:
+        return value
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Parameters of one code family member.
@@ -78,10 +90,10 @@ class CodeSpec:
     sum_modulus: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("q", "n", "d"):
+        for name in ("q", "n", "d", "power_modulus"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if type(v) is not int and v is not None:
+                object.__setattr__(self, name, read_integer(v, f"{name} = {v!r}"))
         if self.q < 2:
             raise ValueError(f"alphabet size q={self.q} must be >= 2")
         if self.d < 3:
@@ -180,16 +192,17 @@ def validate_word(
     an integer ``ndarray`` of any length, it is an int64 array for the
     vectorised syndrome kernel.  Otherwise, and for every spec beyond the
     bound under which the kernel's float64 products are exact
-    (``_power_tables`` is None), it is a list of Python ints: any other
-    integer type, a numpy scalar for one, goes through ``operator.index``,
-    since it would wrap, or raise, under the exact plain-int loops.
+    (``_power_tables`` is None), it is a list of Python ints: a word with
+    any other symbol, a numpy scalar for one, is read through the int64
+    conversion, or by ``read_integer`` where that fails, since such a
+    symbol would wrap, or raise, under the exact plain-int loops.
     """
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != n={spec.n}")
     q = spec.q
-    if spec.n < _VECTOR_MIN_LENGTH:
-        # Python ints pass here; an ndarray's numpy scalars stop the scan at
-        # once and are checked below.
+    if spec.n < _VECTOR_MIN_LENGTH or _power_tables(spec) is None:
+        # A word for the plain loops: Python ints pass here; any other
+        # symbol, an ndarray's numpy scalar for one, stops the scan.
         for s in word:
             if (type(s) is int and 0 <= s < q) or (s is None and allow_erasures):
                 continue
@@ -202,14 +215,15 @@ def validate_word(
             for i in erased:
                 symbols[i - 1] = 0
             return symbols, erased
-    if (spec.n >= _VECTOR_MIN_LENGTH or isinstance(word, np.ndarray)) and (
-        _power_tables(spec) is not None
-    ):
-        converted = _as_int64(word, q, allow_erasures)
-        if converted is not None:
-            arr = converted[0]
-            if arr.min() >= 0 and arr.max() < q:
+    converted = _as_int64(word, q, allow_erasures)
+    if converted is not None:
+        arr, erased = converted
+        if arr.min() >= 0 and arr.max() < q:
+            if (spec.n >= _VECTOR_MIN_LENGTH or isinstance(word, np.ndarray)) and (
+                _power_tables(spec) is not None
+            ):
                 return converted
+            return arr.tolist(), erased
     # The full check, which names the first bad position.  After a
     # conversion to int64 no word passes it.
     symbols = list(word)
@@ -223,10 +237,7 @@ def validate_word(
             erased.append(i)
             symbols[i - 1] = 0
             continue
-        try:
-            value = operator.index(s)
-        except TypeError:
-            raise ValueError(f"symbol {s!r} at position {i} is not an integer") from None
+        value = read_integer(s, f"symbol {s!r} at position {i}")
         if not 0 <= value < q:
             raise ValueError(f"symbol {s} at position {i} outside [0, {q - 1}]")
         symbols[i - 1] = value
@@ -238,7 +249,8 @@ def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, lis
     positions, 1-based.
 
     None when a symbol is not an integer that fits the conversion, or is an
-    erasure where none is allowed.  An integer ``ndarray`` is copied.
+    erasure where none is allowed, and for an ``ndarray`` of neither integer
+    nor object dtype (bool, float).  An integer ``ndarray`` is copied.
 
     Symbols go through a typed buffer, ``bytearray`` when q <= 256 and
     ``array("q")`` above.  Both take only integers (through __index__) and
@@ -253,6 +265,8 @@ def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, lis
     if isinstance(word, np.ndarray):
         if word.ndim == 1 and word.dtype.kind in "iu":
             return word.astype(np.int64), []
+        if word.dtype.kind != "O":
+            return None
         word = word.tolist()
     elif isinstance(word, (bytes, bytearray)):
         return np.frombuffer(word, dtype=np.uint8).astype(np.int64), []
@@ -322,10 +336,9 @@ def _as_tuple(word: Word, symbols: Symbols, changed=()) -> Word:
 def validate_offset(offset: Offset, spec: CodeSpec) -> tuple[int, ...]:
     """Check an offset against the spec; return it as a tuple of Python ints.
 
-    Entry 0 lies in [0, sum_modulus), the others in [0, power_modulus).  Any
-    other integer type, a numpy scalar for one, goes through
-    ``operator.index``, since it would wrap, or raise, in the exact sums the
-    decoders form from it; a bool or a non-integer raises ValueError.
+    Entry 0 lies in [0, sum_modulus), the others in [0, power_modulus).  Each
+    is read by ``read_integer``, since a numpy scalar would wrap, or raise,
+    in the exact sums the decoders form from it.
     """
     if len(offset) != spec.checksum_count:
         raise ValueError(
@@ -335,7 +348,7 @@ def validate_offset(offset: Offset, spec: CodeSpec) -> tuple[int, ...]:
     bound = spec.sum_modulus
     for j, v in enumerate(values):
         if type(v) is not int:
-            v = _offset_entry(v, j)
+            v = read_integer(v, f"offset[{j}] = {v!r}")
             values = values[:j] + (v,) + values[j + 1 :]
         if not 0 <= v < bound:
             raise ValueError(f"offset[{j}] = {v} outside [0, {bound - 1}]")
@@ -343,26 +356,20 @@ def validate_offset(offset: Offset, spec: CodeSpec) -> tuple[int, ...]:
     return values
 
 
-def _offset_entry(v: object, j: int) -> int:
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise ValueError(f"offset[{j}] = {v!r} is not an integer")
-
-
 def checksum(word: Word, j: int) -> int:
     """The exact integer sum_i i**j * x_i over 1-indexed positions.
 
     No modular reduction is applied.  Erased positions are rejected.
     """
-    if not isinstance(j, int) or isinstance(j, bool) or j < 0:
+    j = read_integer(j, f"checksum order = {j!r}")
+    if j < 0:
         raise ValueError(f"checksum order must be a nonnegative integer, got {j!r}")
     total = 0
     for i, s in enumerate(word, start=1):
         if s is None:
             raise ValueError(f"erased symbol at position {i}")
+        if type(s) is not int:
+            s = read_integer(s, f"symbol {s!r} at position {i}")
         total += i**j * s
     return total
 
@@ -555,6 +562,7 @@ def is_codeword(word: Word, spec: CodeSpec, offset: Offset) -> bool:
 
 
 def _check_budget(spec: CodeSpec, budget: int) -> None:
+    budget = read_integer(budget, f"budget = {budget!r}")
     total = spec.q**spec.n
     if total > budget:
         raise BudgetExceededError(

@@ -103,14 +103,6 @@ def inv_mod(a: int, modulus: int) -> int:
     return pow(a, -1, modulus)
 
 
-def eval_poly_mod(coeffs: list[int] | tuple[int, ...], x: int, modulus: int) -> int:
-    """Evaluate a polynomial given by ascending coefficients, via Horner."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc
-
-
 def solve_moments(nodes, rhs, modulus: int) -> tuple[int, ...]:
     """Solve sum_i nodes[i]**j * x[i] = rhs[j] (mod modulus), j < len(nodes).
 

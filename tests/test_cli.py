@@ -547,3 +547,20 @@ def test_cli_tables_rejects_bad_q_or_d(capsys, records, q, d, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [(["search", "--q", "2", "--n", "5", "--d", "3"], "abc",
+      f"{BUDGET_ENV_VAR} = 'abc' is not an integer"),
+     (["tables", "--q", "4", "--d", "3", "--lengths", "22,abc"], None,
+      "--lengths entry 'abc' is not an integer")],
+    ids=["budget-env", "lengths"],
+)
+def test_cli_integer_text_names_its_source(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv(BUDGET_ENV_VAR, env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

