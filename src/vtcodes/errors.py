@@ -1,30 +1,48 @@
-"""Substitution-error decoding, up to floor((d-1)/2) wrong symbols.
+"""Errors-and-erasures decoding: one core for erasures, substitutions and
+the final position when n equals the prime.
 
-The moment syndromes of the error vector form a generalized Reed-Solomon
-syndrome over the prime field with evaluation points 1..n, so the classic
-chain applies: Berlekamp-Massey for the error-locator polynomial and an
-exhaustive root scan over the positions.  Once the positions are known the
-magnitudes solve the same moment system the erasure decoder solves, through
-``modarith.solve_moments``.  Two wrinkles are specific to this family:
+The moment syndromes S_j = sum_k e_k * k**j, j < d-1, of the difference
+e = received - sent form a generalized Reed-Solomon syndrome over the prime
+field with evaluation points 1..n.  One private core decodes from them.
+It is given the positions already known to be damaged, its known nodes,
+and a budget of further error positions to look for, and it is called
+three ways:
 
-* The plain-sum syndrome lives modulo ``sum_modulus``; its centered lift is
-  the exact integer sum of the error magnitudes and only its mod-prime
-  shadow joins the moment sequence.  Acceptance of a candidate always
-  re-checks the exact congruence, never just the shadow.
-
+* ``erasure.decode_erasures``: the erased positions are known (they read 0
+  in the working form), and the budget is 0.
+* ``decode_errors``: nothing is known, and the budget is floor((d-1)/2).
 * When n equals the prime modulus, position n has locator 0 and cannot be
-  seen by the locator polynomial.  A second decoding phase hypothesises an
-  error there: the other positions come from the moment sequence without
-  its plain-sum term, where position n leaves no trace, and position n
-  joins them as one more node of the magnitude solve (node n is node 0
-  mod the prime).  A magnitude is below the prime in absolute value, so
-  its residue lifts to it exactly.
+  seen by the locator polynomial.  A second phase of ``decode_errors``
+  knows position n and looks for one error fewer.
+
+The core follows Forney's modified syndromes ("On decoding BCH codes",
+1965).  Multiplying the moment series by Gamma(z) = prod (1 - k*z) over the
+known nodes removes their trace from every coefficient from len(known) on,
+which leaves the syndrome of the unknown errors alone.  A node k = 0 mod
+the prime (position n when n = p) gives the factor 1, so it only drops the
+leading moment.  Berlekamp-Massey (Massey, "Shift-register synthesis and
+BCH decoding", 1969) and a root scan over the positions find the unknown
+errors; with budget 0 the modified moments must vanish instead.  One call
+to ``modarith.solve_moments`` then gives the values at the roots and the
+known nodes together.  Two wrinkles are specific to this family:
+
+* The plain-sum syndrome lives modulo ``sum_modulus``.  Its representative
+  in (hi - sum_modulus, hi], where hi is q-1 times the number of error
+  positions allowed (position n counted), is the exact integer sum of the
+  magnitudes: an error adds at most q-1 and an erased symbol x adds -x.
+  It is formed once per decode.  Only its mod-prime shadow joins the
+  moment sequence, and a candidate is accepted only if its magnitudes add
+  up to it exactly.
+* Each value is a residue mod the prime.  It lifts to the unique integer
+  that pulls the received symbol back into the alphabet, or the candidate
+  is rejected.  An error's magnitude must be nonzero; an erased symbol may
+  be 0.
 
 The word is read only through the working form ``core.validate_word``
 makes of it, an int64 array or a list of Python ints that the decoder
-owns: the syndromes, the magnitudes and the candidate come from it, the
-candidate is patched into it (and the patch undone if rejected), and
-``core._as_tuple`` turns the accepted candidate into the returned tuple.
+owns: the syndromes and the values come from it, the candidate is patched
+into it (and the patch undone if rejected), and ``core._as_tuple`` turns
+the accepted candidate into the returned tuple.
 """
 
 from __future__ import annotations
@@ -41,6 +59,7 @@ from .core import (
     _masked_sums,
     _position_roots,
     is_codeword,
+    read_integer,
     validate_offset,
     validate_word,
 )
@@ -51,29 +70,23 @@ class UncorrectableError(Exception):
     """No coset member lies within the correction radius of the input."""
 
 
-def centered_lift(residue: int, modulus: int) -> int:
-    """The representative of ``residue`` in [-(modulus-1)//2, modulus//2].
-
-    Any integer of absolute value at most (modulus-1)/2 is recovered exactly
-    from its residue, which is what makes the plain-sum syndrome exact.
-    """
-    r = residue % modulus
-    return r if r <= modulus // 2 else r - modulus
-
-
 def _syndrome_parts(
-    received: Word, spec: CodeSpec, offset: Offset
-) -> tuple[int, list[int], Symbols]:
-    """(exact integer sum of error magnitudes, weighted syndromes mod prime,
-    the word's working form from validate_word).
+    received: Word, spec: CodeSpec, offset: Offset, hi: int, erasures: bool = False
+) -> tuple[int, list[int], Symbols, list[int]]:
+    """(exact plain sum of the magnitudes, moments mod prime, the word's
+    working form from validate_word, its erased positions).
+
+    The magnitudes are received - sent, an erased symbol read as 0.  Their
+    plain sum is known mod sum_modulus and taken as its representative in
+    (hi - sum_modulus, hi]; moment 0 is that sum mod the prime.
     """
     offset = validate_offset(offset, spec)
-    symbols, _ = validate_word(received, spec)
+    symbols, erased = validate_word(received, spec, allow_erasures=erasures)
     plain, weighted = _masked_sums(symbols, spec)
-    shift = centered_lift(plain - offset[0], spec.sum_modulus)
     p = spec.power_modulus
+    shift = hi - (hi - plain + offset[0]) % spec.sum_modulus
     tail = [(w - offset[j]) % p for j, w in enumerate(weighted, start=1)]
-    return shift, tail, symbols
+    return shift, [shift % p, *tail], symbols, erased
 
 
 def compute_error_syndrome(
@@ -81,12 +94,13 @@ def compute_error_syndrome(
 ) -> tuple[int, ...]:
     """Moment syndromes of the error vector, reduced modulo the prime.
 
-    Entry 0 is the mod-prime shadow of the centered plain-sum shift; note
-    that shadow can vanish while the shift itself does not, so codeword
+    Entry 0 is the mod-prime shadow of the centered plain-sum shift, its
+    representative in [-(sum_modulus-1)//2, sum_modulus//2]; note that
+    shadow can vanish while the shift itself does not, so codeword
     detection must use the exact shift (as the decoders here do).
     """
-    shift, tail, _ = _syndrome_parts(received, spec, offset)
-    return (shift % spec.power_modulus, *tail)
+    _, moments, _, _ = _syndrome_parts(received, spec, offset, spec.sum_modulus // 2)
+    return tuple(moments)
 
 
 def berlekamp_massey(
@@ -188,6 +202,9 @@ class KeyEquationState:
     modulus: int
 
     def __post_init__(self) -> None:
+        if type(self.modulus) is not int:
+            modulus = read_integer(self.modulus, f"modulus = {self.modulus!r}")
+            object.__setattr__(self, "modulus", modulus)
         validate_prime_modulus(self.modulus)
         if not self.locator or self.locator[0] % self.modulus != 1:
             raise ValueError("locator must have constant term 1")
@@ -231,34 +248,27 @@ def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
     return roots
 
 
-def _magnitude_entries(
-    lam: list[int],
-    moments: list[int],
-    spec: CodeSpec,
-    received: Word,
-    extra: tuple[int, ...] = (),
-) -> list[tuple[int, int]] | None:
-    """Root scan plus moment solve; None on any inconsistency.
+def _lifted(
+    nodes: list[int], moments: list[int], spec: CodeSpec, received, erasures: bool
+) -> list[int] | str:
+    """The integer magnitude at each node, or why there is none.
 
-    The nodes are the locator's roots and the ``extra`` positions; their
-    magnitudes solve the first moments mod the prime (more nodes than
-    moments leave them undetermined).  Each residue is lifted to the
-    unique integer that pulls the received symbol back into the alphabet.
+    The magnitudes solve the first len(nodes) moments mod the prime.  Each
+    residue lifts to the unique integer that pulls the received symbol back
+    into the alphabet.  An error's magnitude must be nonzero; where the
+    nodes are ``erasures`` the recovered symbol may be 0.
     """
     p = spec.power_modulus
-    roots = _locator_roots(lam, spec) if len(lam) > 1 else []
-    nodes = roots + list(extra)
-    if len(roots) != len(lam) - 1 or len(nodes) > len(moments):
-        return None
-    entries = []
+    mags = []
     for k, residue in zip(nodes, solve_moments(nodes, moments, p)):
-        if residue == 0:
-            return None
-        sent = (received[k - 1] - residue) % p
+        symbol = received[k - 1]
+        sent = (symbol - residue) % p
         if sent >= spec.q:
-            return None
-        entries.append((k, received[k - 1] - sent))
-    return entries
+            return f"recovered symbol {sent} at position {k} outside [0, {spec.q - 1}]"
+        if not (residue or erasures):
+            return f"zero magnitude at position {k}"
+        mags.append(symbol - sent)
+    return mags
 
 
 def locate_and_evaluate(
@@ -270,61 +280,88 @@ def locate_and_evaluate(
     received symbols back into the alphabet.  Raises UncorrectableError when
     the root count disagrees with the locator degree or a lift fails.
     """
-    entries = _magnitude_entries(
-        list(state.locator), list(state.syndromes), spec, received
-    )
-    if entries is None:
-        raise UncorrectableError("locator roots or magnitudes are inconsistent")
-    return ErrorVector(tuple(entries))
+    lam = list(state.locator)
+    roots = _locator_roots(lam, spec) if len(lam) > 1 else []
+    if len(roots) == len(lam) - 1 <= len(state.syndromes):
+        mags = _lifted(roots, list(state.syndromes), spec, received, False)
+        if type(mags) is list:
+            return ErrorVector(tuple(zip(roots, mags)))
+    raise UncorrectableError("locator roots or magnitudes are inconsistent")
 
 
-def _corrected(
-    received: Word,
-    symbols: Symbols,
-    entries: list[tuple[int, int]],
-    spec: CodeSpec,
-    offset: Offset,
-) -> Word | None:
-    """The received word minus the error entries, if that is a coset member.
+def _modified_moments(moments: list[int], known: list[int], p: int) -> list[int]:
+    """Gamma(z) = prod (1 - k*z) over the known nodes k times the moment
+    series, from coefficient len(known) on, where no known node leaves a
+    trace (Forney's modified syndromes).
 
-    The candidate is validate_word's working form of the received word,
-    patched in place through the membership check; it becomes a tuple only
-    for the return value.  A rejected patch is undone, since a later phase
-    reads the received symbols from it.
+    One in-place pass of (1 - k*z) per node; a node k = p gives the factor
+    1, so it only drops moment 0.  None are left when every moment is spent
+    on a known node.
     """
-    changed = []
-    for pos, mag in entries:
-        symbols[pos - 1] -= mag
-        changed.append(pos)
-    if is_codeword(symbols, spec, offset):
-        return _as_tuple(received, symbols, changed)
-    for pos, mag in entries:
-        symbols[pos - 1] += mag
-    return None
+    if len(known) >= len(moments):
+        return []
+    modified = moments[:]
+    for k in known:
+        if k != p:
+            for j in range(len(modified) - 1, 0, -1):
+                modified[j] = (modified[j] - k * modified[j - 1]) % p
+    del modified[: len(known)]
+    return modified
 
 
-def _attempt(
+def _decode(
     received: Word,
     symbols: Symbols,
     spec: CodeSpec,
     offset: Offset,
+    shift: int,
     moments: list[int],
-    max_errors: int,
-    phase_two: bool,
-) -> Word | None:
-    """One decoding phase; phase two puts an error at position n (n = p).
+    known: list[int],
+    budget: int,
+    erasures: bool,
+) -> Word | str:
+    """The coset member that differs from the received word at most at the
+    ``known`` nodes and ``budget`` more positions, or why there is none.
 
-    Phase two runs Berlekamp-Massey without the plain-sum moment, in which
-    position n leaves no trace, and solves position n as one more node.
+    ``shift`` and ``moments`` come from _syndrome_parts, with hi q-1 times
+    the error positions allowed (0 for erasures).  With ``erasures`` the known
+    nodes are erased positions; otherwise they are errors, and the
+    candidate is also checked by ``is_codeword``.  The candidate is patched
+    into ``symbols``, and the patch undone if it is rejected, since a later
+    phase reads the received symbols from it.
     """
-    lam, length = berlekamp_massey(moments[phase_two:], spec.power_modulus)
-    if length > max_errors or len(lam) - 1 != length:
-        return None
-    extra = (spec.n,) if phase_two else ()
-    entries = _magnitude_entries(lam, moments, spec, symbols, extra)
-    if entries is None:
-        return None
-    return _corrected(received, symbols, entries, spec, offset)
+    p = spec.power_modulus
+    modified = _modified_moments(moments, known, p) if known else moments
+    nodes = known
+    if budget:
+        lam, length = berlekamp_massey(modified, p)
+        if length > budget or len(lam) - 1 != length:
+            return "no locator within the budget"
+        if length:
+            roots = _locator_roots(lam, spec)
+            if len(roots) != length:
+                return "the locator has too few roots among the positions"
+            nodes = roots + known
+    mags = _lifted(nodes, moments, spec, symbols, erasures)
+    if type(mags) is str:
+        return mags
+    if not budget:
+        # No unknown errors: the known nodes must explain every moment.  An
+        # out-of-range value above is the reason an erasure decode reports
+        # first.
+        for j, residual in enumerate(modified, start=len(known)):
+            if residual:
+                return f"moment equation {j} unsatisfied by the recovered symbols"
+    # The solve meets moment 0 only mod p; the exact plain sum decides.
+    if sum(mags) != shift:
+        return "completed word fails the membership check"
+    for k, mag in zip(nodes, mags):
+        symbols[k - 1] -= mag
+    if erasures or is_codeword(symbols, spec, offset):
+        return _as_tuple(received, symbols, nodes)
+    for k, mag in zip(nodes, mags):
+        symbols[k - 1] += mag
+    return "the candidate is not a coset member"
 
 
 def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
@@ -334,16 +371,19 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     within the correction radius of the received word, and with at most
     that many substitutions the unique closest member is the sent one.
     """
-    shift, tail, symbols = _syndrome_parts(received, spec, offset)
-    if shift == 0 and not any(tail):
-        return _as_tuple(received, symbols)
-    p = spec.power_modulus
     radius = spec.correction_radius
-    moments = [shift % p, *tail]
-    result = _attempt(received, symbols, spec, offset, moments, radius, False)
-    if result is None and spec.n == p:
-        result = _attempt(received, symbols, spec, offset, moments, radius - 1, True)
-    if result is None:
+    hi = (spec.q - 1) * radius
+    shift, moments, symbols, _ = _syndrome_parts(received, spec, offset, hi)
+    if not (shift or any(moments)):
+        return _as_tuple(received, symbols)
+    result = _decode(received, symbols, spec, offset, shift, moments, [], radius, False)
+    if type(result) is str and spec.n == spec.power_modulus:
+        # Position n has locator 0, which no locator root reaches.
+        known = [spec.n]
+        result = _decode(
+            received, symbols, spec, offset, shift, moments, known, radius - 1, False
+        )
+    if type(result) is str:
         raise UncorrectableError(
             f"no coset member within {radius} substitutions of the received word"
         )

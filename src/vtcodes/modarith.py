@@ -117,10 +117,9 @@ def solve_moments(nodes, rhs, modulus: int) -> tuple[int, ...]:
     ValueError.  Only the first len(nodes) entries of ``rhs`` are read.
     Returns residues in [0, modulus).
 
-    Both decoders find values at known positions through it:
-    ``erasure.decode_erasures`` at the erased positions, and
-    ``errors._magnitude_entries`` at the error locator's roots plus, in
-    the second phase at n = p, position n.
+    The decoding core in ``errors`` finds every value through it, at the
+    error locator's roots and the known nodes (the erased positions, or
+    position n in the second phase at n = p) together.
     """
     p = modulus
     m = len(nodes)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vtcodes.core import CodeSpec, checksum, enumerate_codewords, parse_word, syndrome_profile
+from vtcodes.core import (
+    _VECTOR_MIN_LENGTH,
+    CodeSpec,
+    checksum,
+    enumerate_codewords,
+    parse_word,
+    syndrome_profile,
+)
 from vtcodes.erasure import InconsistentWordError, decode_erasures
 from vtcodes.modarith import smallest_prime_geq
 
@@ -109,6 +116,44 @@ def test_large_block_vectorized_path():
     for i in (0, 700, 701, 1312, spec.n - 1):
         masked[i] = None
     assert decode_erasures(tuple(masked), spec, offset) == word
+
+
+def _small_masks(n, d):
+    """Every erasure mask of weight <= 2, and every mask of weight 3 .. d-1
+    within both ends and the middle of the word, as 0-based positions."""
+    corners = (0, 1, 2, 31, 32, 33, *range(61, n))
+    for m in range(3):
+        yield from itertools.combinations(range(n), m)
+    for m in range(3, d):
+        yield from itertools.combinations(corners, m)
+
+
+@pytest.mark.parametrize(
+    "spec, count", [(CodeSpec(3, 67, 5), 2994), (CodeSpec(3, 64, 5), 2291)]
+)
+def test_every_small_mask_on_the_vectorised_path(spec, count):
+    # n = p makes position n node 0 of the moment solve; n < p does not.
+    # The masks take turns over a few sent words.  At weight d-1 every
+    # moment is spent on the erasures, so a changed kept symbol is caught
+    # only by the range and exact plain-sum checks.
+    assert spec.n >= _VECTOR_MIN_LENGTH
+    rng = random.Random(spec.n)
+    sent_words = [tuple(rng.randrange(spec.q) for _ in range(spec.n)) for _ in range(3)]
+    offsets = [exact_profile(w, spec) for w in sent_words]
+    decoded = 0
+    for i, mask in enumerate(_small_masks(spec.n, spec.d)):
+        sent, offset = sent_words[i % 3], offsets[i % 3]
+        masked = list(sent)
+        for k in mask:
+            masked[k] = None
+        assert decode_erasures(tuple(masked), spec, offset) == sent, mask
+        decoded += 1
+        if len(mask) == spec.d - 1:
+            kept = rng.choice([k for k in range(spec.n) if k not in mask])
+            masked[kept] = (masked[kept] + rng.randrange(1, spec.q)) % spec.q
+            with pytest.raises(InconsistentWordError):
+                decode_erasures(tuple(masked), spec, offset)
+    assert decoded == count
 
 
 def test_d_minus_one_erasures_at_large_distance():

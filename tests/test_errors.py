@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,6 @@ from vtcodes.errors import (
     KeyEquationState,
     UncorrectableError,
     berlekamp_massey,
-    centered_lift,
     compute_error_syndrome,
     decode_errors,
     locate_and_evaluate,
@@ -73,20 +73,13 @@ def _decoded_or_none(decoder, received, spec, offset):
         return None
 
 
-def test_centered_lift():
-    assert centered_lift(0, 3) == 0
-    assert centered_lift(1, 3) == 1
-    assert centered_lift(2, 3) == -1
-    assert centered_lift(45, 91) == 45
-    assert centered_lift(46, 91) == -45
-    assert centered_lift(-1, 5) == -1
-    assert centered_lift(7, 5) == 2
-
-
 def test_syndrome_known_answer():
     spec = CodeSpec(2, 5, 3)
     assert compute_error_syndrome(parse_word("1,0,1,1,1"), spec, (0, 0)) == (1, 3)
     assert compute_error_syndrome(parse_word("1,0,0,1,1"), spec, (0, 0)) == (0, 0)
+    # Entry 0 is the centered plain-sum shift mod 5: 2 mod 3 lifts to -1.
+    assert compute_error_syndrome(parse_word("1,1,0,0,0"), spec, (0, 0)) == (4, 3)
+    assert compute_error_syndrome(parse_word("1,1,0,0,0"), spec, (1, 0)) == (1, 3)
 
 
 def test_berlekamp_massey_single_error():
@@ -245,6 +238,15 @@ def test_key_equation_state_validation():
         KeyEquationState(
             syndromes=(3, 5, 5, 6), locator=(1, 0, 3), evaluator=(3, 5), modulus=6
         )
+    # The modulus is read by the package's integer rule and stored as a
+    # Python int: a float is refused, and a numpy prime reaches the checks.
+    with pytest.raises(ValueError, match=r"^modulus = 7\.0 is not an integer$"):
+        KeyEquationState((3, 5, 5, 6), (1, 0, 3), (3, 5), 7.0)
+    with pytest.raises(ValueError, match="evaluator does not match"):
+        KeyEquationState((3, 5, 5, 6), (1, 0, 3), (3, 5), np.int64(2**61 - 1))
+    for modulus in (7, 2**61 - 1):
+        state = KeyEquationState((1,), (1,), (1,), np.int64(modulus))
+        assert type(state.modulus) is int and state.modulus == modulus
 
 
 def test_locate_and_evaluate_two_errors():

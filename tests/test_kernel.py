@@ -274,8 +274,9 @@ def test_decoders_leave_an_array_input_unchanged():
 def test_rejected_candidate_is_undone_before_phase_two(monkeypatch):
     # A word c2 that meets every moment of the offset mod p while its plain
     # sum is off by a multiple of p, received with one substitution.  Phase
-    # one patches that substitution into the array, is_codeword rejects c2,
-    # and phase two must read the received symbols, not c2's.
+    # one locates that substitution, the exact plain-sum check rejects c2
+    # before it is patched in or reaches is_codeword, and phase two must read
+    # the received symbols, not c2's.
     spec = CodeSpec(67, 67, 5)  # q = n = p
     p, n = spec.power_modulus, spec.n
     rng = random.Random(5)
@@ -299,26 +300,37 @@ def test_rejected_candidate_is_undone_before_phase_two(monkeypatch):
     received = list(c2)
     received[other - 1] = (c2[other - 1] + 1) % spec.q
 
-    arrays = []
-    rejected = []
-    attempt, member = errors._attempt, errors.is_codeword
+    arrays, outcomes, solved, members = [], [], [], []
+    decode, solve, member = errors._decode, errors.solve_moments, errors.is_codeword
 
-    def spy_attempt(word, arr, *rest):
+    def spy_decode(word, arr, *rest):
         arrays.append(arr.copy())
-        return attempt(word, arr, *rest)
+        outcomes.append(decode(word, arr, *rest))
+        return outcomes[-1]
+
+    def spy_solve(nodes, rhs, modulus):
+        values = solve(nodes, rhs, modulus)
+        solved.append((list(nodes), values))
+        return values
 
     def spy_member(word, *rest):
-        ok = member(word, *rest)
-        if not ok:
-            rejected.append(list(word))
-        return ok
+        members.append(list(word))
+        return member(word, *rest)
 
-    monkeypatch.setattr(errors, "_attempt", spy_attempt)
+    monkeypatch.setattr(errors, "_decode", spy_decode)
+    monkeypatch.setattr(errors, "solve_moments", spy_solve)
     monkeypatch.setattr(errors, "is_codeword", spy_member)
     form = np.array(received, dtype=np.int64)
     with pytest.raises(errors.UncorrectableError):
         decode_errors(form, spec, offset)
-    assert rejected[0] == c2
+    # Phase one's candidate is c2, and the exact plain-sum check rejects it.
+    first_nodes, first_values = solved[0]
+    candidate = list(received)
+    for k, residue in zip(first_nodes, first_values):
+        candidate[k - 1] = (received[k - 1] - residue) % p
+    assert candidate == c2
+    assert outcomes[0] == "completed word fails the membership check"
+    assert c2 not in members
     assert len(arrays) == 2
     assert all(arr.tolist() == received for arr in arrays)
     assert form.tolist() == received

@@ -46,22 +46,22 @@ MUTANTS = (
         "a",
         "phase two without node n",
         "src/vtcodes/errors.py",
-        "extra = (spec.n,) if phase_two else ()",
-        "extra = ()",
+        "        known = [spec.n]\n",
+        "        known = []\n",
     ),
     Mutant(
         "b",
-        "phase two runs Berlekamp-Massey on the full moments",
+        "a node at 0 drops no leading moment",
         "src/vtcodes/errors.py",
-        "berlekamp_massey(moments[phase_two:], spec.power_modulus)",
-        "berlekamp_massey(moments, spec.power_modulus)",
+        "    del modified[: len(known)]\n",
+        "    del modified[: sum(k != p for k in known)]\n",
     ),
     Mutant(
         "c",
-        "decode_erasures without its exact plain-sum check",
-        "src/vtcodes/erasure.py",
-        "    if sum(solved) != erased_plain:\n"
-        '        raise InconsistentWordError("completed word fails the membership check")\n',
+        "no exact plain-sum check",
+        "src/vtcodes/errors.py",
+        "    if sum(mags) != shift:\n"
+        '        return "completed word fails the membership check"\n',
         "",
     ),
     Mutant(
@@ -112,6 +112,13 @@ MUTANTS = (
         "src/vtcodes/core.py",
         "        return operator.index(value)\n",
         "        operator.index(value)\n        return value\n",
+    ),
+    Mutant(
+        "k",
+        "the lift window's top end one symbol short",
+        "src/vtcodes/errors.py",
+        "    shift = hi - (hi - plain + offset[0]) % spec.sum_modulus\n",
+        "    shift = hi - 1 - (hi - 1 - plain + offset[0]) % spec.sum_modulus\n",
     ),
 )
 
