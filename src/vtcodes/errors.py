@@ -70,6 +70,16 @@ class UncorrectableError(Exception):
     """No coset member lies within the correction radius of the input."""
 
 
+def _lift(plain, offset0, hi: int, sum_modulus: int):
+    """The exact plain sum of the magnitudes: the representative of
+    plain - offset0 in (hi - sum_modulus, hi].
+
+    ``plain`` and ``offset0`` are Python ints or integer arrays (one entry
+    per word), whose ``%`` takes the sign of the modulus like an int's.
+    """
+    return hi - (hi - plain + offset0) % sum_modulus
+
+
 def _syndrome_parts(
     received: Word, spec: CodeSpec, offset: Offset, hi: int, erasures: bool = False
 ) -> tuple[int, list[int], Symbols, list[int]]:
@@ -77,14 +87,14 @@ def _syndrome_parts(
     working form from validate_word, its erased positions).
 
     The magnitudes are received - sent, an erased symbol read as 0.  Their
-    plain sum is known mod sum_modulus and taken as its representative in
-    (hi - sum_modulus, hi]; moment 0 is that sum mod the prime.
+    plain sum is known mod sum_modulus and lifted by _lift; moment 0 is
+    that sum mod the prime.
     """
     offset = validate_offset(offset, spec)
     symbols, erased = validate_word(received, spec, allow_erasures=erasures)
     plain, weighted = _masked_sums(symbols, spec)
     p = spec.power_modulus
-    shift = hi - (hi - plain + offset[0]) % spec.sum_modulus
+    shift = _lift(plain, offset[0], hi, spec.sum_modulus)
     tail = [(w - offset[j]) % p for j, w in enumerate(weighted, start=1)]
     return shift, [shift % p, *tail], symbols, erased
 

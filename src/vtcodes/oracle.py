@@ -3,9 +3,19 @@
 Everything here works by brute force over the full cube of q**n words, so
 all entry points take an enumeration budget and refuse oversized jobs.
 The decoders are exercised against corruptions of every codeword of every
-coset, which is slow but independent of the algebra being verified: a bug
-in the syndrome machinery cannot hide in a check that only compares
-words.
+coset.  The ground truth is ``coset_partition``'s own loop over the cube,
+independent of the algebra being verified: a bug in the syndrome
+machinery cannot hide in a check that only compares words.
+
+Substitution cases are decoded one word at a time.  Erasure cases run in
+``erasure._decode_rows``, one array pass per erasure mask over every
+codeword of every coset, each row with its own offset.  That pass takes
+every step from the code ``decode_erasures`` runs (validation, the
+syndrome kernel, the lift, the solve and the modified moments), so a
+fault there fails both.  The one-word decoder stays checked in every
+sweep: each mask also decodes one codeword through it, a disagreement
+fails that case, and the first failing case is replayed through it to
+make the report a case-by-case loop would make.
 """
 
 from __future__ import annotations
@@ -14,18 +24,22 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     CodeSpec,
     Offset,
     Word,
     _check_budget,
+    _masked_sums,
     enumerate_codewords,
     hamming_distance,
     is_codeword,
     validate_offset,
+    validate_word,
 )
-from .erasure import InconsistentWordError, decode_erasures
+from .erasure import InconsistentWordError, _decode_rows, _row_dtype, decode_erasures
 from .errors import UncorrectableError, decode_errors
 
 DECODE_MODES = ("erasure", "single-error", "multi-error")
@@ -143,13 +157,21 @@ def distance_sweep(
     )
 
 
-def _erasure_cases(word: Word, spec: CodeSpec):
-    for count in range(1, spec.d):
-        for positions in itertools.combinations(range(spec.n), count):
-            masked = list(word)
-            for i in positions:
-                masked[i] = None
-            yield positions, tuple(masked)
+def _erasure_masks(spec: CodeSpec) -> list[tuple[int, ...]]:
+    """Every erasure mask of 1..d-1 positions, 0-based, by weight and
+    then lexicographically."""
+    return [
+        positions
+        for count in range(1, spec.d)
+        for positions in itertools.combinations(range(spec.n), count)
+    ]
+
+
+def _masked(word: Word, positions: tuple[int, ...]) -> Word:
+    masked = list(word)
+    for i in positions:
+        masked[i] = None
+    return tuple(masked)
 
 
 def _error_cases(word: Word, spec: CodeSpec, weights):
@@ -160,6 +182,122 @@ def _error_cases(word: Word, spec: CodeSpec, weights):
                 for i, bump in zip(positions, bumps):
                     corrupted[i] = (corrupted[i] + bump) % spec.q
                 yield positions, tuple(corrupted)
+
+
+def _check_mode(spec: CodeSpec, mode: str) -> None:
+    if mode not in DECODE_MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {DECODE_MODES}")
+    if mode == "multi-error" and spec.correction_radius < 2:
+        raise ValueError(
+            f"multi-error check needs correction radius >= 2, got {spec.correction_radius}"
+        )
+
+
+# Rows per batch of the erasure check: it bounds the arrays at the
+# 2**24-word budget, and every Tier-1 sweep fits in one batch.
+_BATCH_ROWS = 1 << 14
+
+
+def _erasure_check(spec: CodeSpec, groups) -> tuple[int, tuple | None, str | None]:
+    """(instances, counterexample, detail) of the erasure mode over every
+    codeword of ``groups``, (offset, codewords) pairs, with counterexample
+    and detail None when every case passes.
+
+    Case row * masks + mask is the row-th codeword under the mask-th mask
+    of _erasure_masks.  Each codeword is read once by validate_word and
+    _masked_sums; then each mask is one erasure._decode_rows call over a
+    batch of rows.  A case fails if the batch rejects it or fills in other
+    symbols, and every case of a codeword the batch does not take fails:
+    one that validate_word refuses, or whose offset validate_offset
+    refuses, or that does not equal the tuple a decoder returns.  Per
+    mask, one row is also decoded by decode_erasures, and a disagreement
+    fails that case.  The first failing case is replayed through
+    decode_erasures, which gives the report (or raises) as a case-by-case
+    loop would.
+    """
+    masks = _erasure_masks(spec)
+    rows = []
+    for offset, words in groups:
+        if words:
+            try:
+                target = validate_offset(offset, spec)
+            except ValueError:
+                target = None
+            rows += [(offset, target, x) for x in words]
+    for top in range(0, len(rows), _BATCH_ROWS):
+        first = _first_failure(spec, rows[top : top + _BATCH_ROWS], masks, top)
+        if first is not None:
+            return _replay(spec, rows, masks, *first)
+    return len(rows) * len(masks), None, None
+
+
+def _first_failure(spec: CodeSpec, batch, masks, top: int):
+    """(case, row, mask, refused) of the first failing case among ``batch``,
+    rows top, top + 1, ...; None if every case passes.  ``refused`` tells
+    whether the batch did not take the row's codeword."""
+    n, k = spec.n, spec.d - 1
+    forms, sums, targets, refused = [], [], [], []
+    for _, target, x in batch:
+        symbols = None
+        try:
+            # A decoder returns a tuple, which a list never equals.
+            if target is not None and tuple(x) == x:
+                symbols, _ = validate_word(x, spec)
+        except ValueError:
+            pass
+        refused.append(symbols is None)
+        if symbols is None:
+            symbols, target = [0] * n, (0,) * k
+        plain, weighted = _masked_sums(symbols, spec)
+        forms.append(symbols)
+        sums.append((plain, *weighted))
+        targets.append(target)
+    dtype = _row_dtype(spec)
+    symbols, sums, targets = (np.array(a, dtype=dtype) for a in (forms, sums, targets))
+    refused = np.array(refused)
+    first = None
+    for j, positions in enumerate(masks):
+        cols = list(positions)
+        filled, accepted = _decode_rows(symbols, sums, targets, spec, [i + 1 for i in cols])
+        failed = refused | ~accepted | (filled != symbols[:, cols]).any(axis=1)
+        s = j % len(batch)
+        if not failed[s]:
+            offset, _, x = batch[s]
+            try:
+                failed[s] = decode_erasures(_masked(x, positions), spec, offset) != x
+            except InconsistentWordError:
+                failed[s] = True
+        if failed.any():
+            row = top + int(failed.argmax())
+            case = (row * len(masks) + j, row, j, bool(refused[row - top]))
+            first = case if first is None else min(first, case)
+    return first
+
+
+def _replay(spec: CodeSpec, rows, masks, case: int, row: int, j: int, refused: bool):
+    """The report of failing case ``case`` from decode_erasures.
+
+    A codeword the batch did not take is replayed from there on until a
+    case fails or raises, as a case-by-case loop would; any other case
+    alone.
+    """
+    offset, _, x = rows[row]
+    for i in range(j, len(masks)):
+        positions = masks[i]
+        instances = case + 1 + i - j
+        try:
+            got = decode_erasures(_masked(x, positions), spec, offset)
+        except InconsistentWordError as exc:
+            return instances, (offset, x, positions), f"rejected as inconsistent: {exc}"
+        if got != x:
+            return (
+                instances, (offset, x, positions, got), "filled erasures with a different word"
+            )
+        if not refused:
+            break
+    return (
+        case + 1, (offset, x, masks[j]), "batched erasure decode disagrees with decode_erasures"
+    )
 
 
 def exhaustive_decode_check(
@@ -177,48 +315,35 @@ def exhaustive_decode_check(
       multi-error   all substitution patterns of weight 1..correction_radius
                     (requires a radius of at least 2)
     """
-    if mode not in DECODE_MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {DECODE_MODES}")
-    if mode == "multi-error" and spec.correction_radius < 2:
-        raise ValueError(
-            f"multi-error check needs correction radius >= 2, got {spec.correction_radius}"
-        )
+    _check_mode(spec, mode)
     if codewords is None:
         codewords = enumerate_codewords(spec, offset, budget)
     name = f"decode:{mode}"
+    if mode == "erasure":
+        instances, counterexample, detail = _erasure_check(spec, [(offset, codewords)])
+        if counterexample is not None:
+            return VerificationReport(name, spec, instances, False, counterexample, detail)
+        return VerificationReport(
+            name, spec, instances, True,
+            detail=f"{len(codewords)} codewords, {instances} corruptions",
+        )
     weights = (1,) if mode == "single-error" else range(1, spec.correction_radius + 1)
     instances = 0
     for x in codewords:
-        if mode == "erasure":
-            for positions, masked in _erasure_cases(x, spec):
-                instances += 1
-                try:
-                    got = decode_erasures(masked, spec, offset)
-                except InconsistentWordError as exc:
-                    return VerificationReport(
-                        name, spec, instances, False, (offset, x, positions),
-                        f"rejected as inconsistent: {exc}",
-                    )
-                if got != x:
-                    return VerificationReport(
-                        name, spec, instances, False, (offset, x, positions, got),
-                        "filled erasures with a different word",
-                    )
-        else:
-            for positions, corrupted in _error_cases(x, spec, weights):
-                instances += 1
-                try:
-                    got = decode_errors(corrupted, spec, offset)
-                except UncorrectableError as exc:
-                    return VerificationReport(
-                        name, spec, instances, False, (offset, x, positions),
-                        f"rejected as uncorrectable: {exc}",
-                    )
-                if got != x:
-                    return VerificationReport(
-                        name, spec, instances, False, (offset, x, positions, got),
-                        "decoded to a different word",
-                    )
+        for positions, corrupted in _error_cases(x, spec, weights):
+            instances += 1
+            try:
+                got = decode_errors(corrupted, spec, offset)
+            except UncorrectableError as exc:
+                return VerificationReport(
+                    name, spec, instances, False, (offset, x, positions),
+                    f"rejected as uncorrectable: {exc}",
+                )
+            if got != x:
+                return VerificationReport(
+                    name, spec, instances, False, (offset, x, positions, got),
+                    "decoded to a different word",
+                )
     return VerificationReport(
         name, spec, instances, True,
         detail=f"{len(codewords)} codewords, {instances} corruptions",
@@ -228,22 +353,32 @@ def exhaustive_decode_check(
 def decode_check_sweep(
     spec: CodeSpec, mode: str, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> VerificationReport:
-    """exhaustive_decode_check over every occupied coset of the partition."""
+    """exhaustive_decode_check over every occupied coset of the partition,
+    in sorted offset order; the erasure mode takes every coset in one
+    batch."""
+    _check_mode(spec, mode)
     buckets = coset_partition(spec, budget)
-    instances = 0
-    words = 0
-    for key in sorted(buckets):
-        report = exhaustive_decode_check(
-            spec, key, mode, budget=budget, codewords=buckets[key]
+    keys = sorted(buckets)
+    name = f"decode:{mode}"
+    if mode == "erasure":
+        instances, counterexample, detail = _erasure_check(
+            spec, [(key, buckets[key]) for key in keys]
         )
-        instances += report.instances
-        words += len(buckets[key])
-        if not report.passed:
-            return VerificationReport(
-                report.property_name, spec, instances, False,
-                report.counterexample, report.detail,
+        if counterexample is not None:
+            return VerificationReport(name, spec, instances, False, counterexample, detail)
+    else:
+        instances = 0
+        for key in keys:
+            report = exhaustive_decode_check(
+                spec, key, mode, budget=budget, codewords=buckets[key]
             )
+            instances += report.instances
+            if not report.passed:
+                return VerificationReport(
+                    name, spec, instances, False, report.counterexample, report.detail
+                )
+    words = sum(len(words) for words in buckets.values())
     return VerificationReport(
-        f"decode:{mode}", spec, instances, True,
+        name, spec, instances, True,
         detail=f"{len(buckets)} cosets, {words} codewords, {instances} corruptions",
     )

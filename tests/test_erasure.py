@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,12 +9,19 @@ from hypothesis import strategies as st
 from vtcodes.core import (
     _VECTOR_MIN_LENGTH,
     CodeSpec,
+    _masked_sums,
     checksum,
     enumerate_codewords,
     parse_word,
     syndrome_profile,
+    validate_word,
 )
-from vtcodes.erasure import InconsistentWordError, decode_erasures
+from vtcodes.erasure import (
+    InconsistentWordError,
+    _decode_rows,
+    _row_dtype,
+    decode_erasures,
+)
 from vtcodes.modarith import smallest_prime_geq
 
 
@@ -302,3 +310,66 @@ def test_erasures_match_an_independent_gf_p_solve(spec, seed):
                 decode_erasures(word, spec, target)
         else:
             assert decode_erasures(word, spec, target) == expected
+
+
+def batch_rows(words, offsets, spec):
+    """The arrays erasure._decode_rows takes: each word's working form,
+    its _masked_sums and its offset, in the row dtype of the spec."""
+    forms, sums = [], []
+    for word in words:
+        symbols, _ = validate_word(word, spec)
+        plain, weighted = _masked_sums(symbols, spec)
+        forms.append(symbols)
+        sums.append((plain, *weighted))
+    dtype = _row_dtype(spec)
+    return (np.array(a, dtype=dtype) for a in (forms, sums, offsets))
+
+
+ROW_SPECS = [
+    CodeSpec(4, 5, 3),  # q near p: only the exact plain sum decides some rows
+    CodeSpec(3, 5, 4),
+    CodeSpec(2, 6, 5),
+    CodeSpec(3, 7, 5),  # n = p: position n is node 0
+    CodeSpec(7, 11, 5),
+    CodeSpec(2, 5, 3, power_modulus=2**61 - 1),  # beyond int64: Python-int rows
+]
+
+
+@pytest.mark.parametrize(
+    "spec", ROW_SPECS, ids=lambda s: f"q{s.q}-n{s.n}-d{s.d}-p{s.power_modulus}"
+)
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32))
+def test_decode_rows_matches_decode_erasures(spec, seed):
+    # Random words, each under its own profile (a codeword of its coset)
+    # or a random offset, every mask of weight <= d-1: the batch must give
+    # the word decode_erasures gives, or reject the row as it does.
+    rng = random.Random(seed)
+    words, offsets = [], []
+    for i in range(8):
+        word = tuple(rng.randrange(spec.q) for _ in range(spec.n))
+        words.append(word)
+        offsets.append(
+            exact_profile(word, spec)
+            if i % 2
+            else (
+                rng.randrange(spec.sum_modulus),
+                *(rng.randrange(spec.power_modulus) for _ in range(spec.d - 2)),
+            )
+        )
+    symbols, sums, targets = batch_rows(words, offsets, spec)
+    for m in range(spec.d):
+        for mask in itertools.combinations(range(1, spec.n + 1), m):
+            filled, accepted = _decode_rows(symbols, sums, targets, spec, list(mask))
+            for word, offset, row, ok in zip(words, offsets, filled.tolist(), accepted):
+                masked = list(word)
+                for k in mask:
+                    masked[k - 1] = None
+                try:
+                    expected = decode_erasures(tuple(masked), spec, offset)
+                except InconsistentWordError:
+                    expected = None
+                if ok:
+                    for k, v in zip(mask, row):
+                        masked[k - 1] = v
+                assert (tuple(masked) if ok else None) == expected, (word, offset, mask)

@@ -9,7 +9,9 @@ draw codes on both sides of each switch and compare every path with the
 residues of ``checksum``, which sums unbounded Python ints.  They also check
 the error decoder's root scan against a plain-int scan next to the bound,
 and both array paths against the plain-int loops across the row slabs the
-products run in.  They check that every accepted input type decodes to the
+products run in; at n = 65537, every error pattern and erasure mask of
+weight <= 2 on the ends and the slab-run boundaries decodes back.  They
+check that every accepted input type decodes to the
 same tuple, that the decoders leave an array input unchanged, that both
 decoders take alphabets too large for the vectorised kernel, and that a bad
 symbol gets the same message on every path.  validate_word's working form
@@ -20,6 +22,7 @@ offset of numpy scalars is read as its Python ints, so it decodes as the
 int offset does.
 """
 
+import itertools
 import math
 import random
 
@@ -245,6 +248,43 @@ def test_slab_runs_match_the_plain_int_loops(case):
     expected = [k for k in range(1, n + 1) if eval_poly_mod(coeffs, k, p) == 0]
     assert set(planted) <= set(expected)
     assert core._position_roots(coeffs, spec) == expected
+
+
+def test_every_small_pattern_across_the_slab_runs():
+    # n = p = 65537: w = 257, and the sums (8 columns) and the root scan
+    # (at most 5) both run in 9 runs of 31 block rows.  Every error pattern
+    # and every erasure mask of weight <= 2 on positions 1, 2, n-1, n and
+    # b-1, b, b+1 for each run boundary b round-trips.  The patterns take
+    # turns over two sent words, each error a random nonzero bump; the
+    # offsets come from the plain-int loop, which has no slabs.  Each
+    # damaged word is patched into a copy of its sent word, and restored.
+    spec = CodeSpec(256, 65537, 9)
+    n = spec.n
+    width = math.isqrt(n) + 1
+    step = core._slab_rows(width, spec.d - 1) * width
+    assert core._slab_rows(width, spec.correction_radius + 1) * width == step
+    starts = range(step, n + 1, step)
+    assert len(starts) == 8
+    positions = sorted({1, 2, n - 1, n}.union(*({b - 1, b, b + 1} for b in starts)))
+    rng = random.Random(n)
+    sent_words = [tuple(rng.randbytes(n)) for _ in range(2)]
+    offsets = [core._profile_of(w, spec) for w in sent_words]
+    received = [bytearray(w) for w in sent_words]
+    masked = [list(w) for w in sent_words]
+    decoded = 0
+    for weight in range(3):
+        for support in itertools.combinations(positions, weight):
+            i = decoded % 2
+            sent, offset, word, holes = sent_words[i], offsets[i], received[i], masked[i]
+            for k in support:
+                word[k - 1] = (sent[k - 1] + rng.randrange(1, spec.q)) % spec.q
+                holes[k - 1] = None
+            assert decode_errors(word, spec, offset) == sent, support
+            assert decode_erasures(holes, spec, offset) == sent, support
+            for k in support:
+                word[k - 1] = holes[k - 1] = sent[k - 1]
+            decoded += 1
+    assert decoded == 1 + 28 + 378
 
 
 def test_decoders_leave_an_array_input_unchanged():

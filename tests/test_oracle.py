@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from vtcodes import core
+from vtcodes import core, oracle
 from vtcodes.core import BudgetExceededError, CodeSpec, syndrome_profile
+from vtcodes.erasure import _decode_rows
 from vtcodes.oracle import (
+    VerificationReport,
     coset_partition,
     decode_check_sweep,
     distance_sweep,
@@ -122,3 +124,117 @@ def test_partition_check_catches_a_kernel_fault(monkeypatch):
     report = partition_check(CodeSpec(3, 5, 3))
     assert not report.passed
     assert report.detail == "membership test disagrees with profile bucket"
+
+
+SPEC_253 = CodeSpec(2, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "spec, offset, codewords, instances, counterexample, detail",
+    [
+        (
+            SPEC_253, (0, 0), [(1,) * 5], 1, ((0, 0), (1,) * 5, (0,)),
+            "rejected as inconsistent: recovered symbol 2 at position 1 outside [0, 1]",
+        ),
+        (
+            SPEC_253, (0, 0), [(0,) * 5, (1,) * 5], 16, ((0, 0), (1,) * 5, (0,)),
+            "rejected as inconsistent: recovered symbol 2 at position 1 outside [0, 1]",
+        ),
+        (
+            SPEC_253, (0, 0), [(0, 0, 0, 1, 1)], 1,
+            ((0, 0), (0, 0, 0, 1, 1), (0,), (1, 0, 0, 1, 1)),
+            "filled erasures with a different word",
+        ),
+        (
+            CodeSpec(3, 5, 3), (1, 2), [(0,) * 5], 1, ((1, 2), (0,) * 5, (0,)),
+            "rejected as inconsistent: moment equation 1 unsatisfied by the recovered symbols",
+        ),
+        (
+            CodeSpec(3, 5, 4), (0, 0, 0), [(0, 0, 0, 0, 2)], 1,
+            ((0, 0, 0), (0, 0, 0, 0, 2), (0,)),
+            "rejected as inconsistent: completed word fails the membership check",
+        ),
+    ],
+    ids=["range", "second-row", "other-word", "moment", "plain-sum"],
+)
+def test_erasure_failure_reports(spec, offset, codewords, instances, counterexample, detail):
+    # The first failing case in the order of a case-by-case loop: codewords
+    # in the order given, masks by weight and then lexicographically.
+    report = exhaustive_decode_check(spec, offset, "erasure", codewords=codewords)
+    assert report == VerificationReport(
+        "decode:erasure", spec, instances, False, counterexample, detail
+    )
+
+
+def test_erasure_check_refusals():
+    # A bad offset or symbol raises as the first decode_erasures call would;
+    # with no codewords there is no case, and the offset is not read.
+    with pytest.raises(ValueError, match=r"^offset\[1\] = 9 outside \[0, 4\]$"):
+        exhaustive_decode_check(SPEC_253, (0, 9), "erasure", codewords=[(0,) * 5])
+    with pytest.raises(ValueError, match=r"^symbol 2 at position 5 outside \[0, 1\]$"):
+        exhaustive_decode_check(SPEC_253, (0, 0), "erasure", codewords=[(0, 0, 0, 0, 2)])
+    report = exhaustive_decode_check(SPEC_253, (0, 9), "erasure", codewords=[])
+    assert report.passed and report.instances == 0
+
+
+def test_batch_disagreement_is_reported(monkeypatch):
+    # The replay of a case the batch fails and decode_erasures passes names
+    # the disagreement; the oracle looks decode_erasures up at call time.
+    calls = []
+
+    def fails_the_batch(symbols, sums, offsets, spec, erased):
+        filled, accepted = _decode_rows(symbols, sums, offsets, spec, erased)
+        calls.append(erased)
+        return filled, accepted & (len(calls) != 3)
+
+    monkeypatch.setattr(oracle, "_decode_rows", fails_the_batch)
+    report = exhaustive_decode_check(SPEC_253, (0, 0), "erasure")
+    assert report.instances == 3
+    assert report.counterexample == ((0, 0), (0,) * 5, (2,))
+    assert report.detail == "batched erasure decode disagrees with decode_erasures"
+
+
+def test_one_word_sample_disagreement_fails_the_sweep(monkeypatch):
+    # Each mask also runs decode_erasures on one row (row 0 for mask 0): a
+    # fault there fails the sweep, though the batch passes every case.
+    decode = oracle.decode_erasures
+
+    def wrong_first_symbol(word, spec, offset):
+        got = decode(word, spec, offset)
+        return got if word[0] is not None else ((got[0] + 1) % spec.q, *got[1:])
+
+    monkeypatch.setattr(oracle, "decode_erasures", wrong_first_symbol)
+    report = decode_check_sweep(SPEC_253, "erasure")
+    assert report == VerificationReport(
+        "decode:erasure", SPEC_253, 1, False,
+        ((0, 0), (0,) * 5, (0,), (1, 0, 0, 0, 0)), "filled erasures with a different word",
+    )
+
+
+@pytest.mark.parametrize("mode", ["typo", "multi-error"])
+def test_sweep_refuses_a_bad_mode_before_enumerating(monkeypatch, mode):
+    # Radius 1 admits no multi-error check.  Neither refusal may wait for
+    # the cube: even over the budget it is the mode that is refused.
+    def no_partition(*args, **kwargs):
+        raise AssertionError("coset_partition called")
+
+    monkeypatch.setattr(oracle, "coset_partition", no_partition)
+    with pytest.raises(ValueError, match="mode|radius"):
+        decode_check_sweep(CodeSpec(2, 16, 3), mode)
+    with pytest.raises(ValueError, match="mode|radius"):
+        decode_check_sweep(CodeSpec(2, 40, 3), mode)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_erasure_reports_do_not_depend_on_the_batch_size(monkeypatch, rows):
+    # Rows are decoded in batches of _BATCH_ROWS; a failure in a later
+    # batch keeps its place in the case order.
+    spec = CodeSpec(2, 5, 3)
+    codewords = [(0, 0, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)]
+    whole = exhaustive_decode_check(spec, (0, 0), "erasure", codewords=codewords)
+    swept = decode_check_sweep(spec, "erasure")
+    monkeypatch.setattr(oracle, "_BATCH_ROWS", rows)
+    assert exhaustive_decode_check(spec, (0, 0), "erasure", codewords=codewords) == whole
+    assert whole.instances == 46 and not whole.passed
+    assert decode_check_sweep(spec, "erasure") == swept
+    assert swept.passed

@@ -117,8 +117,22 @@ MUTANTS = (
         "k",
         "the lift window's top end one symbol short",
         "src/vtcodes/errors.py",
-        "    shift = hi - (hi - plain + offset[0]) % spec.sum_modulus\n",
-        "    shift = hi - 1 - (hi - 1 - plain + offset[0]) % spec.sum_modulus\n",
+        "    return hi - (hi - plain + offset0) % sum_modulus\n",
+        "    return hi - 1 - (hi - 1 - plain + offset0) % sum_modulus\n",
+    ),
+    Mutant(
+        "l",
+        "the batched erasure decode without its exact plain-sum check",
+        "src/vtcodes/erasure.py",
+        "        & (filled.sum(axis=1) == -shift)\n",
+        "",
+    ),
+    Mutant(
+        "m",
+        "the first failing erasure case picked mask-first",
+        "src/vtcodes/oracle.py",
+        "case = (row * len(masks) + j, row, j,",
+        "case = (j * len(batch) + row, row, j,",
     ),
 )
 
