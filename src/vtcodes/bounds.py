@@ -17,9 +17,6 @@ from importlib import resources
 from .core import CodeSpec, read_integer
 from .modarith import is_prime
 
-_BUNDLED_PROVENANCE = "bundled"
-_USER_PROVENANCE = "user"
-
 # Comparison rows whose published redundancy was computed with a composite
 # modulus; the table generator recomputes them and attaches a note instead
 # of silently reproducing the published figure.
@@ -224,11 +221,11 @@ class LinearBaseline:
     and blank lines ignored.
     """
 
-    def __init__(self, entries: dict[tuple[int, int, int], tuple[int, str]]):
+    def __init__(self, entries: dict[tuple[int, int, int], int]):
         self._entries = dict(entries)
 
     @classmethod
-    def from_text(cls, text: str, provenance: str = _USER_PROVENANCE) -> "LinearBaseline":
+    def from_text(cls, text: str) -> "LinearBaseline":
         entries = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -241,20 +238,20 @@ class LinearBaseline:
                 q, n, d, r = (int(f) for f in fields)
             except ValueError:
                 raise ValueError(f"baseline line {lineno}: non-integer field in {raw!r}") from None
-            entries[(q, n, d)] = (r, provenance)
+            entries[(q, n, d)] = r
         return cls(entries)
 
     @classmethod
-    def from_file(cls, path, provenance: str = _USER_PROVENANCE) -> "LinearBaseline":
+    def from_file(cls, path) -> "LinearBaseline":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), provenance)
+            return cls.from_text(fh.read())
 
     @classmethod
     def bundled(cls) -> "LinearBaseline":
         text = (
             resources.files("vtcodes").joinpath("data/linear_baselines.txt").read_text()
         )
-        return cls.from_text(text, _BUNDLED_PROVENANCE)
+        return cls.from_text(text)
 
     def merged_with(self, other: "LinearBaseline") -> "LinearBaseline":
         entries = dict(self._entries)
@@ -262,12 +259,7 @@ class LinearBaseline:
         return LinearBaseline(entries)
 
     def get(self, q: int, n: int, d: int) -> int | None:
-        entry = self._entries.get((q, n, d))
-        return entry[0] if entry else None
-
-    def provenance(self, q: int, n: int, d: int) -> str | None:
-        entry = self._entries.get((q, n, d))
-        return entry[1] if entry else None
+        return self._entries.get((q, n, d))
 
     def lengths_for(self, q: int, d: int) -> list[int]:
         return sorted(n for (bq, n, bd) in self._entries if bq == q and bd == d)

@@ -338,6 +338,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.offset is not None and args.property in ("partition", "distance"):
+        raise ValueError(f"--offset applies to the decode checks, not to {args.property}")
     spec = _spec_from(args)
     budget = _budget_from(args)
     if args.property == "partition":

@@ -7,15 +7,18 @@ coset.  The ground truth is ``coset_partition``'s own loop over the cube,
 independent of the algebra being verified: a bug in the syndrome
 machinery cannot hide in a check that only compares words.
 
-Substitution cases are decoded one word at a time.  Erasure cases run in
-``erasure._decode_rows``, one array pass per erasure mask over every
-codeword of every coset, each row with its own offset.  That pass takes
-every step from the code ``decode_erasures`` runs (validation, the
-syndrome kernel, the lift, the solve and the modified moments), so a
-fault there fails both.  The one-word decoder stays checked in every
-sweep: each mask also decodes one codeword through it, a disagreement
-fails that case, and the first failing case is replayed through it to
-make the report a case-by-case loop would make.
+Every decode mode goes through one report builder, over the cosets the
+oracle enumerates itself: one for ``exhaustive_decode_check``, every
+occupied one for ``decode_check_sweep``.  Substitution cases are decoded
+one word at a time.  Erasure cases run in ``erasure._decode_rows``, one
+array pass per erasure mask over every codeword of every coset, each row
+with its own offset.  That pass takes every step from the code
+``decode_erasures`` runs (validation, the syndrome kernel, the lift, the
+solve and the modified moments), so a fault there fails both.  The
+one-word decoder stays checked in every sweep: each mask also decodes one
+codeword through it, a disagreement fails that case, and the first
+failing case is replayed through it to make the report a case-by-case
+loop would make.
 """
 
 from __future__ import annotations
@@ -198,68 +201,99 @@ def _check_mode(spec: CodeSpec, mode: str) -> None:
 _BATCH_ROWS = 1 << 14
 
 
+def _decode_report(spec: CodeSpec, mode: str, groups, summary: str) -> VerificationReport:
+    """The report of ``mode`` over ``groups``, (offset, codewords) pairs of
+    the oracle's own enumeration, each offset valid; ``summary`` leads the
+    detail of a passing report."""
+    if mode == "erasure":
+        instances, counterexample, detail = _erasure_check(spec, groups)
+    else:
+        weights = (1,) if mode == "single-error" else range(1, spec.correction_radius + 1)
+        instances, counterexample, detail = _error_check(spec, groups, weights)
+    name = f"decode:{mode}"
+    if counterexample is not None:
+        return VerificationReport(name, spec, instances, False, counterexample, detail)
+    return VerificationReport(
+        name, spec, instances, True, detail=f"{summary}, {instances} corruptions"
+    )
+
+
+def _error_check(spec: CodeSpec, groups, weights) -> tuple[int, tuple | None, str | None]:
+    """(instances, counterexample, detail) of the substitution patterns of
+    ``weights`` over every codeword of ``groups``, decoded one at a time;
+    counterexample and detail are None when every case passes."""
+    instances = 0
+    for offset, codewords in groups:
+        for x in codewords:
+            for positions, corrupted in _error_cases(x, spec, weights):
+                instances += 1
+                try:
+                    got = decode_errors(corrupted, spec, offset)
+                except UncorrectableError as exc:
+                    return instances, (offset, x, positions), f"rejected as uncorrectable: {exc}"
+                if got != x:
+                    return instances, (offset, x, positions, got), "decoded to a different word"
+    return instances, None, None
+
+
 def _erasure_check(spec: CodeSpec, groups) -> tuple[int, tuple | None, str | None]:
-    """(instances, counterexample, detail) of the erasure mode over every
-    codeword of ``groups``, (offset, codewords) pairs, with counterexample
-    and detail None when every case passes.
+    """(instances, counterexample, detail) of every erasure mask over every
+    codeword of ``groups``, as _error_check.
 
     Case row * masks + mask is the row-th codeword under the mask-th mask
-    of _erasure_masks.  Each codeword is read once by validate_word and
-    _masked_sums; then each mask is one erasure._decode_rows call over a
-    batch of rows.  A case fails if the batch rejects it or fills in other
-    symbols, and every case of a codeword the batch does not take fails:
-    one that validate_word refuses, or whose offset validate_offset
-    refuses, or that does not equal the tuple a decoder returns.  Per
-    mask, one row is also decoded by decode_erasures, and a disagreement
-    fails that case.  The first failing case is replayed through
-    decode_erasures, which gives the report (or raises) as a case-by-case
-    loop would.
+    of _erasure_masks.  The first failing case is replayed through
+    decode_erasures, which gives the report a case-by-case loop would.
     """
     masks = _erasure_masks(spec)
     rows = []
-    for offset, words in groups:
-        if words:
-            try:
-                target = validate_offset(offset, spec)
-            except ValueError:
-                target = None
-            rows += [(offset, target, x) for x in words]
+    for offset, codewords in groups:
+        target = validate_offset(offset, spec)
+        rows += [(offset, target, x) for x in codewords]
     for top in range(0, len(rows), _BATCH_ROWS):
-        first = _first_failure(spec, rows[top : top + _BATCH_ROWS], masks, top)
-        if first is not None:
-            return _replay(spec, rows, masks, *first)
+        case = _first_failure(spec, rows[top : top + _BATCH_ROWS], masks)
+        if case is None:
+            continue
+        case += top * len(masks)
+        row, j = divmod(case, len(masks))
+        offset, _, x = rows[row]
+        positions = masks[j]
+        instances = case + 1
+        try:
+            got = decode_erasures(_masked(x, positions), spec, offset)
+        except InconsistentWordError as exc:
+            return instances, (offset, x, positions), f"rejected as inconsistent: {exc}"
+        if got != x:
+            return instances, (offset, x, positions, got), "filled erasures with a different word"
+        return (
+            instances, (offset, x, positions),
+            "batched erasure decode disagrees with decode_erasures",
+        )
     return len(rows) * len(masks), None, None
 
 
-def _first_failure(spec: CodeSpec, batch, masks, top: int):
-    """(case, row, mask, refused) of the first failing case among ``batch``,
-    rows top, top + 1, ...; None if every case passes.  ``refused`` tells
-    whether the batch did not take the row's codeword."""
-    n, k = spec.n, spec.d - 1
-    forms, sums, targets, refused = [], [], [], []
+def _first_failure(spec: CodeSpec, batch, masks) -> int | None:
+    """The first failing case among ``batch``'s rows, numbered from its
+    first row; None if every case passes.
+
+    Each codeword is read once by validate_word and _masked_sums; then each
+    mask is one erasure._decode_rows call over the batch.  A case fails if
+    the batch rejects it or fills in other symbols.  Per mask, one row is
+    also decoded by decode_erasures, and a disagreement fails that case.
+    """
+    forms, sums, targets = [], [], []
     for _, target, x in batch:
-        symbols = None
-        try:
-            # A decoder returns a tuple, which a list never equals.
-            if target is not None and tuple(x) == x:
-                symbols, _ = validate_word(x, spec)
-        except ValueError:
-            pass
-        refused.append(symbols is None)
-        if symbols is None:
-            symbols, target = [0] * n, (0,) * k
+        symbols, _ = validate_word(x, spec)
         plain, weighted = _masked_sums(symbols, spec)
         forms.append(symbols)
         sums.append((plain, *weighted))
         targets.append(target)
     dtype = _row_dtype(spec)
     symbols, sums, targets = (np.array(a, dtype=dtype) for a in (forms, sums, targets))
-    refused = np.array(refused)
     first = None
     for j, positions in enumerate(masks):
         cols = list(positions)
         filled, accepted = _decode_rows(symbols, sums, targets, spec, [i + 1 for i in cols])
-        failed = refused | ~accepted | (filled != symbols[:, cols]).any(axis=1)
+        failed = ~accepted | (filled != symbols[:, cols]).any(axis=1)
         s = j % len(batch)
         if not failed[s]:
             offset, _, x = batch[s]
@@ -268,36 +302,9 @@ def _first_failure(spec: CodeSpec, batch, masks, top: int):
             except InconsistentWordError:
                 failed[s] = True
         if failed.any():
-            row = top + int(failed.argmax())
-            case = (row * len(masks) + j, row, j, bool(refused[row - top]))
+            case = int(failed.argmax()) * len(masks) + j
             first = case if first is None else min(first, case)
     return first
-
-
-def _replay(spec: CodeSpec, rows, masks, case: int, row: int, j: int, refused: bool):
-    """The report of failing case ``case`` from decode_erasures.
-
-    A codeword the batch did not take is replayed from there on until a
-    case fails or raises, as a case-by-case loop would; any other case
-    alone.
-    """
-    offset, _, x = rows[row]
-    for i in range(j, len(masks)):
-        positions = masks[i]
-        instances = case + 1 + i - j
-        try:
-            got = decode_erasures(_masked(x, positions), spec, offset)
-        except InconsistentWordError as exc:
-            return instances, (offset, x, positions), f"rejected as inconsistent: {exc}"
-        if got != x:
-            return (
-                instances, (offset, x, positions, got), "filled erasures with a different word"
-            )
-        if not refused:
-            break
-    return (
-        case + 1, (offset, x, masks[j]), "batched erasure decode disagrees with decode_erasures"
-    )
 
 
 def exhaustive_decode_check(
@@ -305,7 +312,6 @@ def exhaustive_decode_check(
     offset: Offset,
     mode: str,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    codewords: list[Word] | None = None,
 ) -> VerificationReport:
     """Every within-radius corruption of every codeword decodes back.
 
@@ -316,69 +322,19 @@ def exhaustive_decode_check(
                     (requires a radius of at least 2)
     """
     _check_mode(spec, mode)
-    if codewords is None:
-        codewords = enumerate_codewords(spec, offset, budget)
-    name = f"decode:{mode}"
-    if mode == "erasure":
-        instances, counterexample, detail = _erasure_check(spec, [(offset, codewords)])
-        if counterexample is not None:
-            return VerificationReport(name, spec, instances, False, counterexample, detail)
-        return VerificationReport(
-            name, spec, instances, True,
-            detail=f"{len(codewords)} codewords, {instances} corruptions",
-        )
-    weights = (1,) if mode == "single-error" else range(1, spec.correction_radius + 1)
-    instances = 0
-    for x in codewords:
-        for positions, corrupted in _error_cases(x, spec, weights):
-            instances += 1
-            try:
-                got = decode_errors(corrupted, spec, offset)
-            except UncorrectableError as exc:
-                return VerificationReport(
-                    name, spec, instances, False, (offset, x, positions),
-                    f"rejected as uncorrectable: {exc}",
-                )
-            if got != x:
-                return VerificationReport(
-                    name, spec, instances, False, (offset, x, positions, got),
-                    "decoded to a different word",
-                )
-    return VerificationReport(
-        name, spec, instances, True,
-        detail=f"{len(codewords)} codewords, {instances} corruptions",
-    )
+    codewords = enumerate_codewords(spec, offset, budget)
+    return _decode_report(spec, mode, [(offset, codewords)], f"{len(codewords)} codewords")
 
 
 def decode_check_sweep(
     spec: CodeSpec, mode: str, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> VerificationReport:
     """exhaustive_decode_check over every occupied coset of the partition,
-    in sorted offset order; the erasure mode takes every coset in one
-    batch."""
+    in sorted offset order, as one run of cases: ``instances`` counts the
+    cases of every coset up to the first failing one."""
     _check_mode(spec, mode)
     buckets = coset_partition(spec, budget)
-    keys = sorted(buckets)
-    name = f"decode:{mode}"
-    if mode == "erasure":
-        instances, counterexample, detail = _erasure_check(
-            spec, [(key, buckets[key]) for key in keys]
-        )
-        if counterexample is not None:
-            return VerificationReport(name, spec, instances, False, counterexample, detail)
-    else:
-        instances = 0
-        for key in keys:
-            report = exhaustive_decode_check(
-                spec, key, mode, budget=budget, codewords=buckets[key]
-            )
-            instances += report.instances
-            if not report.passed:
-                return VerificationReport(
-                    name, spec, instances, False, report.counterexample, report.detail
-                )
     words = sum(len(words) for words in buckets.values())
-    return VerificationReport(
-        name, spec, instances, True,
-        detail=f"{len(buckets)} cosets, {words} codewords, {instances} corruptions",
+    return _decode_report(
+        spec, mode, sorted(buckets.items()), f"{len(buckets)} cosets, {words} codewords"
     )

@@ -212,7 +212,6 @@ def test_bundled_baseline():
     assert baseline.get(4, 97, 3) == 5
     assert baseline.get(3, 127, 3) == 6
     assert baseline.get(4, 50, 3) is None
-    assert baseline.provenance(4, 22, 3) == "bundled"
     assert baseline.lengths_for(4, 3) == list(range(22, 32)) + list(range(86, 98))
     assert baseline.lengths_for(3, 3) == list(range(122, 128))
 
@@ -220,7 +219,7 @@ def test_bundled_baseline():
 def test_baseline_parsing_and_merge():
     baseline = LinearBaseline.from_text("# comment\n\n5 10 3 4\n5 11 3 4 # tail\n")
     assert baseline.get(5, 10, 3) == 4
-    assert baseline.provenance(5, 11, 3) == "user"
+    assert baseline.get(5, 11, 3) == 4
     merged = LinearBaseline.bundled().merged_with(baseline)
     assert merged.get(5, 10, 3) == 4
     assert merged.get(4, 22, 3) == 4

@@ -204,6 +204,16 @@ def test_cli_verify(capsys):
     assert "instances=45" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("prop", ["partition", "distance"])
+def test_cli_verify_refuses_an_offset_it_cannot_use(capsys, prop):
+    rc = main(["verify", "--q", "2", "--n", "5", "--d", "3",
+               "--property", prop, "--offset", "0,0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --offset applies to the decode checks, not to {prop}\n"
+
+
 def test_cli_verify_records(capsys):
     rc = main(["--records", "verify", "--q", "2", "--n", "5", "--d", "3",
                "--property", "distance"])

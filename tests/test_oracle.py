@@ -5,6 +5,7 @@ import pytest
 from vtcodes import core, oracle
 from vtcodes.core import BudgetExceededError, CodeSpec, syndrome_profile
 from vtcodes.erasure import _decode_rows
+from vtcodes.errors import UncorrectableError
 from vtcodes.oracle import (
     VerificationReport,
     coset_partition,
@@ -98,13 +99,17 @@ def test_decode_check_sweep_totals():
     assert single.instances == 32 * 5
 
 
-def test_failure_is_reported_with_counterexample():
+def _enumerates(monkeypatch, codewords):
+    # The oracle enumerates ``codewords`` as the members of any coset.
+    monkeypatch.setattr(oracle, "enumerate_codewords", lambda spec, offset, budget: codewords)
+
+
+def test_failure_is_reported_with_counterexample(monkeypatch):
     # Feeding a word that is not in the coset must surface a failure:
     # its corruptions decode to genuine members or not at all.
     spec = CodeSpec(2, 5, 3)
-    report = exhaustive_decode_check(
-        spec, (0, 0), "single-error", codewords=[(1, 1, 1, 1, 1)]
-    )
+    _enumerates(monkeypatch, [(1, 1, 1, 1, 1)])
+    report = exhaustive_decode_check(spec, (0, 0), "single-error")
     assert not report.passed
     assert report.counterexample is not None
     assert report.instances >= 1
@@ -157,23 +162,24 @@ SPEC_253 = CodeSpec(2, 5, 3)
     ],
     ids=["range", "second-row", "other-word", "moment", "plain-sum"],
 )
-def test_erasure_failure_reports(spec, offset, codewords, instances, counterexample, detail):
+def test_erasure_failure_reports(
+    monkeypatch, spec, offset, codewords, instances, counterexample, detail
+):
     # The first failing case in the order of a case-by-case loop: codewords
     # in the order given, masks by weight and then lexicographically.
-    report = exhaustive_decode_check(spec, offset, "erasure", codewords=codewords)
+    _enumerates(monkeypatch, codewords)
+    report = exhaustive_decode_check(spec, offset, "erasure")
     assert report == VerificationReport(
         "decode:erasure", spec, instances, False, counterexample, detail
     )
 
 
 def test_erasure_check_refusals():
-    # A bad offset or symbol raises as the first decode_erasures call would;
-    # with no codewords there is no case, and the offset is not read.
+    # A bad offset is refused, with decode_erasures' message, before any
+    # case; an unoccupied coset has no case.
     with pytest.raises(ValueError, match=r"^offset\[1\] = 9 outside \[0, 4\]$"):
-        exhaustive_decode_check(SPEC_253, (0, 9), "erasure", codewords=[(0,) * 5])
-    with pytest.raises(ValueError, match=r"^symbol 2 at position 5 outside \[0, 1\]$"):
-        exhaustive_decode_check(SPEC_253, (0, 0), "erasure", codewords=[(0, 0, 0, 0, 2)])
-    report = exhaustive_decode_check(SPEC_253, (0, 9), "erasure", codewords=[])
+        exhaustive_decode_check(SPEC_253, (0, 9), "erasure")
+    report = exhaustive_decode_check(CodeSpec(2, 5, 4), (0, 0, 1), "erasure")
     assert report.passed and report.instances == 0
 
 
@@ -192,6 +198,26 @@ def test_batch_disagreement_is_reported(monkeypatch):
     assert report.instances == 3
     assert report.counterexample == ((0, 0), (0,) * 5, (2,))
     assert report.detail == "batched erasure decode disagrees with decode_erasures"
+
+
+def test_substitution_sweep_counts_cases_across_cosets(monkeypatch):
+    # A failure in the third sorted coset, (0, 2), reports the cases of the
+    # two cosets before it (3 and 2 codewords, 5 substitutions each) and
+    # those of its own first codeword.
+    decode = oracle.decode_errors
+
+    def fails_on_one_word(word, spec, offset):
+        got = decode(word, spec, offset)
+        if got == (1, 1, 0, 1, 0):
+            raise UncorrectableError("injected")
+        return got
+
+    monkeypatch.setattr(oracle, "decode_errors", fails_on_one_word)
+    report = decode_check_sweep(SPEC_253, "single-error")
+    assert report == VerificationReport(
+        "decode:single-error", SPEC_253, 31, False,
+        ((0, 2), (1, 1, 0, 1, 0), (0,)), "rejected as uncorrectable: injected",
+    )
 
 
 def test_one_word_sample_disagreement_fails_the_sweep(monkeypatch):
@@ -230,11 +256,11 @@ def test_erasure_reports_do_not_depend_on_the_batch_size(monkeypatch, rows):
     # Rows are decoded in batches of _BATCH_ROWS; a failure in a later
     # batch keeps its place in the case order.
     spec = CodeSpec(2, 5, 3)
-    codewords = [(0, 0, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)]
-    whole = exhaustive_decode_check(spec, (0, 0), "erasure", codewords=codewords)
+    _enumerates(monkeypatch, [(0, 0, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)])
+    whole = exhaustive_decode_check(spec, (0, 0), "erasure")
     swept = decode_check_sweep(spec, "erasure")
     monkeypatch.setattr(oracle, "_BATCH_ROWS", rows)
-    assert exhaustive_decode_check(spec, (0, 0), "erasure", codewords=codewords) == whole
+    assert exhaustive_decode_check(spec, (0, 0), "erasure") == whole
     assert whole.instances == 46 and not whole.passed
     assert decode_check_sweep(spec, "erasure") == swept
     assert swept.passed

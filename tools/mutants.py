@@ -131,8 +131,15 @@ MUTANTS = (
         "m",
         "the first failing erasure case picked mask-first",
         "src/vtcodes/oracle.py",
-        "case = (row * len(masks) + j, row, j,",
-        "case = (j * len(batch) + row, row, j,",
+        "case = int(failed.argmax()) * len(masks) + j\n",
+        "case = j * len(batch) + int(failed.argmax())\n",
+    ),
+    Mutant(
+        "n",
+        "the substitution check restarts its case count per coset",
+        "src/vtcodes/oracle.py",
+        "    instances = 0\n    for offset, codewords in groups:\n",
+        "    for offset, codewords in groups:\n        instances = 0\n",
     ),
 )
 
