@@ -178,6 +178,14 @@ def format_offset(offset: Offset) -> str:
     return ",".join(str(v) for v in offset)
 
 
+def _vectorised(spec: CodeSpec) -> bool:
+    """Whether ``spec`` takes the vectorised kernel: the word's int64 form,
+    the factored power tables and their root scan.  The only reader of
+    _VECTOR_MIN_LENGTH and the only test of whether the tables exist; n is
+    tested first, so a short word pays no table lookup."""
+    return spec.n >= _VECTOR_MIN_LENGTH and _power_tables(spec) is not None
+
+
 def validate_word(
     word: Word, spec: CodeSpec, *, allow_erasures: bool = False
 ) -> tuple[Symbols, list[int]]:
@@ -188,21 +196,23 @@ def validate_word(
     Returns ``(symbols, erased)``: the word's working form, erased
     positions holding 0, and the erased positions, 1-based and ascending.
     ``symbols`` is always a new object that the caller owns and may write
-    into; the input is never returned or viewed.  From n = 64 on, and for
-    an integer ``ndarray`` of any length, it is an int64 array for the
-    vectorised syndrome kernel.  Otherwise, and for every spec beyond the
-    bound under which the kernel's float64 products are exact
-    (``_power_tables`` is None), it is a list of Python ints: a word with
-    any other symbol, a numpy scalar for one, is read through the int64
-    conversion, or by ``read_integer`` where that fails, since such a
-    symbol would wrap, or raise, under the exact plain-int loops.
+    into; the input is never returned or viewed.  Where the spec takes the
+    vectorised kernel (_vectorised) it is an int64 array, whatever the
+    input type.  Otherwise it is a list of Python ints: a symbol of any
+    other type, a numpy scalar for one, is read by ``read_integer``, since
+    it would wrap, or raise, under the exact plain-int loops.
     """
     if len(word) != spec.n:
         raise ValueError(f"word length {len(word)} != n={spec.n}")
     q = spec.q
-    if spec.n < _VECTOR_MIN_LENGTH or _power_tables(spec) is None:
-        # A word for the plain loops: Python ints pass here; any other
-        # symbol, an ndarray's numpy scalar for one, stops the scan.
+    if _vectorised(spec):
+        converted = _as_int64(word, q, allow_erasures)
+        if converted is not None:
+            arr = converted[0]
+            if arr.min() >= 0 and arr.max() < q:
+                return converted
+    else:
+        # Python ints pass here; any other symbol stops the scan.
         for s in word:
             if (type(s) is int and 0 <= s < q) or (s is None and allow_erasures):
                 continue
@@ -215,17 +225,8 @@ def validate_word(
             for i in erased:
                 symbols[i - 1] = 0
             return symbols, erased
-    converted = _as_int64(word, q, allow_erasures)
-    if converted is not None:
-        arr, erased = converted
-        if arr.min() >= 0 and arr.max() < q:
-            if (spec.n >= _VECTOR_MIN_LENGTH or isinstance(word, np.ndarray)) and (
-                _power_tables(spec) is not None
-            ):
-                return converted
-            return arr.tolist(), erased
-    # The full check, which names the first bad position.  After a
-    # conversion to int64 no word passes it.
+    # The full check, which names the first bad position.  On the
+    # vectorised path a tuple, list, bytes or ndarray reaches it only to fail.
     symbols = list(word)
     erased = []
     for i, s in enumerate(symbols, start=1):
@@ -391,8 +392,8 @@ def _power_tables(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray, tuple] | None
     Each partial sum there is an integer of at most w*(q-1)*(p-1), so the
     product is exact in any summation order, with or without fused
     multiply-adds, while that stays below 2**53; the argument holds row by
-    row, so splitting the rows into slabs keeps it.  The root scan keeps
-    its own bound (_position_roots).
+    row, so splitting the rows into slabs keeps it.  The root scan
+    (_locator_roots) adds a bound of its own on the locator.
     ``high`` is int64; its products with the word's block sums have B =
     blocks terms of at most (p-1)**2 and stay below 2**63.  None when
     either bound fails; the exact plain-int loops serve those specs.
@@ -461,43 +462,54 @@ def _weighted_sums(arr: np.ndarray, spec: CodeSpec, tables) -> tuple[int, ...]:
     )
 
 
-def _position_roots(coeffs: list[int], spec: CodeSpec) -> list[int] | None:
-    """The positions i = 1 .. n where the polynomial with ascending
-    ``coeffs`` vanishes mod p.
+def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
+    """The positions k = 1 .. n whose locator (k mod p) inverts to a root of
+    the polynomial with ascending coefficients ``lam``, mod p.
 
-    Uses the factored power tables: at i = b*w + r the value is
-    sum_k r**k * sum_m binom(m+k, k) * coeffs[m+k] * (b*w)**m.  The inner
-    sums are reduced mod p in int64; the outer product runs in float64 BLAS,
-    where each value v is a sum of len(coeffs) products of residues, an
-    integer of at most len(coeffs)*(p-1)**2, exact while that is below
-    2**53.  p divides v exactly when v == p * rint(v / p), the quotient
-    taken in floating point.  That quotient lies within about 2/p <= 1/32
-    of v/p (p >= n >= 64 here), so rounding recovers v/p whenever it is an
+    Evaluates k**deg * lam(1/k), the reversed polynomial at k, which avoids
+    one modular inversion per position.  A position k = 0 mod p (k = n
+    when n equals the prime) inverts to nothing and is never a root, on
+    either branch, even where a padded ``lam`` (a trailing zero) makes the
+    reversed polynomial vanish there.
+
+    Where the spec takes the vectorised kernel (_vectorised) and ``lam``
+    passes its own bound below, the scan is one pass through the factored
+    power tables.  With c = lam reversed, at k = b*w + r the value is
+    sum_j r**j * sum_m binom(m+j, j) * c[m+j] * (b*w)**m.  The inner sums
+    are reduced mod p in int64; the outer product runs in float64 BLAS,
+    where each value v is a sum of len(lam) products of residues, an
+    integer of at most len(lam)*(p-1)**2, exact while that is below 2**53.
+    p divides v exactly when v == p * rint(v / p), the quotient taken in
+    floating point.  That quotient lies within about 2/p <= 1/32 of v/p
+    (p >= n >= 64 here), so rounding recovers v/p whenever it is an
     integer; otherwise p * m equals v for no integer m, and a product above
-    2**53, which may round, is above v anyway.
+    2**53, which may round, is above v anyway.  The values are never held
+    for all n positions at once: a run of block rows at a time is written
+    into one small slab, the quotient test runs in a second slab of the
+    same size, and the hits of each run are collected before the next.
 
-    The values are never held for all n positions at once: a run of block
-    rows at a time is written into one small slab, the quotient test runs
-    in a second slab of the same size, and the hits of each run are
-    collected before the next.
-
-    None when the tables do not exist, the degree exceeds d-2 or the bound
-    fails.  The bound takes the polynomial's own length, which for an error
-    locator is at most radius + 1, about half of d-1.  Below n = 64 a
-    plain-int scan is faster; callers make that choice.
+    The bound takes the locator's own length, which for an error locator
+    is at most radius + 1, about half of d-1, and the length must not
+    exceed d-1, the tables' width.  Every other spec and locator takes a
+    Horner loop in plain ints over ``lam``.
     """
     p, n = spec.power_modulus, spec.n
-    size = len(coeffs)
-    if size > spec.d - 1 or size * (p - 1) ** 2 >= 1 << 53:
-        return None
-    tables = _power_tables(spec)
-    if tables is None:
-        return None
-    low, high, binom = tables
-    shifted = np.zeros((size, size), dtype=np.int64)  # [m, k]
+    size = len(lam)
+    if not (_vectorised(spec) and size <= spec.d - 1 and size * (p - 1) ** 2 < 1 << 53):
+        roots = []
+        for k in range(1, n + 1):
+            acc = 0
+            for c in lam:
+                acc = (acc * k + c) % p
+            if acc == 0 and k % p:
+                roots.append(k)
+        return roots
+    low, high, binom = _power_tables(spec)
+    coeffs = lam[::-1]
+    shifted = np.zeros((size, size), dtype=np.int64)  # [m, j]
     for m in range(size):
-        for k in range(size - m):
-            shifted[m, k] = binom[m + k][k] * (coeffs[m + k] % p) % p
+        for j in range(size - m):
+            shifted[m, j] = binom[m + j][j] * (coeffs[m + j] % p) % p
     by_block = (high[:, :size] @ shifted % p).astype(np.float64)
     powers = low[:, :size].T
     width, blocks = low.shape[0], high.shape[0]
@@ -513,7 +525,7 @@ def _position_roots(coeffs: list[int], spec: CodeSpec) -> list[int] | None:
         np.rint(qt, out=qt)
         qt *= p
         hits += (np.flatnonzero(v == qt) + top * width).tolist()
-    return [i for i in hits if 1 <= i <= n]
+    return [k for k in hits if 1 <= k <= n and k % p]
 
 
 def _masked_sums(symbols: Symbols | Word, spec: CodeSpec) -> tuple[int, tuple[int, ...]]:

@@ -21,10 +21,11 @@ known nodes removes their trace from every coefficient from len(known) on,
 which leaves the syndrome of the unknown errors alone.  A node k = 0 mod
 the prime (position n when n = p) gives the factor 1, so it only drops the
 leading moment.  Berlekamp-Massey (Massey, "Shift-register synthesis and
-BCH decoding", 1969) and a root scan over the positions find the unknown
-errors; with budget 0 the modified moments must vanish instead.  One call
-to ``modarith.solve_moments`` then gives the values at the roots and the
-known nodes together.  Two wrinkles are specific to this family:
+BCH decoding", 1969) and a root scan over the positions
+(``core._locator_roots``, which never reports such a node) find the
+unknown errors; with budget 0 the modified moments must vanish instead.
+One call to ``modarith.solve_moments`` then gives the values at the roots
+and the known nodes together.  Two wrinkles are specific to this family:
 
 * The plain-sum syndrome lives modulo ``sum_modulus``.  Its representative
   in (hi - sum_modulus, hi], where hi is q-1 times the number of error
@@ -39,10 +40,13 @@ known nodes together.  Two wrinkles are specific to this family:
   be 0.
 
 The word is read only through the working form ``core.validate_word``
-makes of it, an int64 array or a list of Python ints that the decoder
-owns: the syndromes and the values come from it, the candidate is patched
-into it (and the patch undone if rejected), and ``core._as_tuple`` turns
-the accepted candidate into the returned tuple.
+makes of it, which the decoder owns: the syndromes and the values come
+from it, the candidate is patched into it (and the patch undone if
+rejected), and ``core._as_tuple`` turns the accepted candidate into the
+returned tuple.  Whether a decode runs vectorised or on plain ints is
+decided in ``core`` alone, by one predicate on the spec
+(``core._vectorised``): it picks the working form, an int64 array or a
+list of Python ints, and the branch of the root scan.
 """
 
 from __future__ import annotations
@@ -54,10 +58,9 @@ from .core import (
     Offset,
     Symbols,
     Word,
-    _VECTOR_MIN_LENGTH,
     _as_tuple,
+    _locator_roots,
     _masked_sums,
-    _position_roots,
     is_codeword,
     read_integer,
     validate_offset,
@@ -228,34 +231,6 @@ class KeyEquationState:
             raise ValueError("evaluator does not match syndromes * locator")
         if len(given) > 1 and len(given) >= len(self.locator):
             raise ValueError("evaluator degree must stay below the locator degree")
-
-
-def _locator_roots(lam: list[int], spec: CodeSpec) -> list[int]:
-    """Positions k whose locator (k mod prime) inverts to a root of lam.
-
-    Evaluates k**deg * lam(1/k), the reversed polynomial at k, which avoids
-    one modular inversion per position.  From n = 64 on that is one
-    vectorised pass over the positions through core's power tables, exact
-    in float64 under a 2**53 bound; specs and locators beyond it, and every
-    n < 64, run a Horner loop in plain ints over lam's own coefficients.  A
-    position with locator 0 (only k = n when n equals the prime) can never
-    appear here.
-    """
-    p = spec.power_modulus
-    n = spec.n
-    if n >= _VECTOR_MIN_LENGTH:
-        roots = _position_roots(lam[::-1], spec)
-        if roots is not None:
-            return [k for k in roots if k % p != 0]
-    # At k = p the loop leaves lam's nonzero leading coefficient.
-    roots = []
-    for k in range(1, n + 1):
-        acc = 0
-        for c in lam:
-            acc = (acc * k + c) % p
-        if acc == 0:
-            roots.append(k)
-    return roots
 
 
 def _lifted(

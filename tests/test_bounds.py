@@ -1,3 +1,4 @@
+import builtins
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -51,6 +52,29 @@ def test_table_displays_bracket_the_exact_bound(q, d):
             assert row.strict_improvement == (
                 Fraction(row.redundancy_upper) < row.linear_baseline
             )
+
+
+@pytest.mark.parametrize("error", [1, -1])
+def test_displays_do_not_rest_on_the_float_estimate(monkeypatch, error):
+    # _hundredths starts from a float estimate of the log and corrects it
+    # by integer comparisons: an estimate one hundredth off either way
+    # gives the same displays.
+    grid = [
+        (q, n, d)
+        for q in (2, 3, 4, 7, 16)
+        for d in (3, 4, 5)
+        for n in range(max(d, q + 2), max(d, q + 2) + 20)
+    ]
+    expected = [redundancy_display(q, n, d) for q, n, d in grid]
+    estimates = []
+
+    def off_by_one(x):
+        estimates.append(x)
+        return builtins.round(x) + error
+
+    monkeypatch.setattr(bounds, "round", off_by_one, raising=False)
+    assert [redundancy_display(q, n, d) for q, n, d in grid] == expected
+    assert len(estimates) == len(grid)
 
 
 def test_redundancy_upper_bound_values():

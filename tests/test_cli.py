@@ -184,6 +184,45 @@ def test_cli_interval_report_matches_library(capsys):
     assert rows == [row.to_record() for row in prime_length_report(17, 5)]
 
 
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        ("16", "n=19 bound=4.67\nn=23 bound=4.88\n"),
+        (
+            "13",
+            "n=17 bound=4.83 published=4.96  # published summary lists 4.96 for every"
+            " admissible length; the bound at n=17 recomputes to 4.83\n"
+            "n=19 bound=4.96 published=4.96\n",
+        ),
+    ],
+)
+def test_cli_interval_report_text(capsys, q, expected):
+    assert main(["intervals", "--q", q, "--d", "5"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_intervals_records_without_d(capsys):
+    assert main(["--records", "intervals", "--q", "7"]) == 0
+    assert capsys.readouterr().out == '{"below_3": [9, 13], "below_4": [58, 92]}\n'
+
+
+def test_cli_tables_text_with_a_baseline_file_and_a_note(tmp_path, capsys):
+    # The file's entry for n = 30 replaces the bundled one (4); n = 86 keeps
+    # its note on the published figure.
+    path = tmp_path / "baseline.txt"
+    path.write_text("4 30 3 2\n")
+    rc = main(["tables", "--q", "4", "--d", "3", "--lengths", "22,30,86", "--baseline", str(path)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "q=4 d=3\n"
+        "    n  modulus  bound  linear  improves\n"
+        "   22       23   3.67       4       yes\n"
+        "   30       31   3.88       2        no\n"
+        "   86       89   4.64       5       yes  # published value 4.63 used modulus 87"
+        " (divisible by 3, not prime); recomputed with 89\n"
+    )
+
+
 def test_cli_search(capsys):
     rc = main(["search", "--q", "2", "--n", "5", "--d", "3"])
     assert rc == 0
@@ -202,6 +241,13 @@ def test_cli_verify(capsys):
                "--property", "erasure", "--offset", "0,0"])
     assert rc == 0
     assert "instances=45" in capsys.readouterr().out
+
+    # Without --offset the check sweeps every coset.
+    rc = main(["verify", "--q", "2", "--n", "5", "--d", "3", "--property", "erasure"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "PASS decode:erasure instances=480 15 cosets, 32 codewords, 480 corruptions\n"
+    )
 
 
 @pytest.mark.parametrize("prop", ["partition", "distance"])

@@ -161,6 +161,9 @@ def test_parse_and_format_offset():
     assert format_offset((2, 4)) == "2,4"
     with pytest.raises(ValueError):
         parse_offset("1,?")
+    for blank in ("", " "):
+        with pytest.raises(ValueError, match="^empty offset$"):
+            parse_offset(blank)
 
 
 def test_validate_word():

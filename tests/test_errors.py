@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcodes import core, errors
+from vtcodes import core
 from vtcodes.core import (
     _VECTOR_MIN_LENGTH,
     CodeSpec,
@@ -194,7 +194,7 @@ def _poly_mul(a, b, p):
 )
 def test_plain_int_root_scan_matches_a_reference(spec):
     p, n = spec.power_modulus, spec.n
-    assert n < _VECTOR_MIN_LENGTH or core._power_tables(spec) is None
+    assert not core._vectorised(spec)
     rng = random.Random(n)
     for _ in range(30):
         # The locator prod (1 - k x) with positions 1 and n planted (at
@@ -206,10 +206,31 @@ def test_plain_int_root_scan_matches_a_reference(spec):
         lam = _poly_mul(lam, extra, p)
         rev = lam[::-1]
         expected = [k for k in range(1, n + 1) if k % p and eval_poly_mod(rev, k, p) == 0]
-        got = errors._locator_roots(lam, spec)
+        got = core._locator_roots(lam, spec)
         assert got == expected
         assert 1 in got
         assert (n in got) == (n < p)
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(7, 7, 5), CodeSpec(67, 67, 5)], ids=["plain", "vector"])
+def test_position_n_is_never_a_root_at_n_equal_to_the_prime(spec):
+    # At n = p position n has locator 0, which is no root's inverse.  A
+    # locator padded with a zero, k**2 * lam(1/k) = k * (k + 3) for
+    # lam = [1, 3, 0], vanishes at k = p as well: neither branch of the
+    # scan may report it.
+    p, n = spec.power_modulus, spec.n
+    assert n == p and core._vectorised(spec) == (n >= 64)
+    assert core._locator_roots([1, 3, 0], spec) == [p - 3]
+    # Errors 2 at position 4 and 1 at position n: the locator is 1 - 4z,
+    # since position n's factor is 1.  Padded to degree 2 it passes the
+    # key equation but has one root among the positions, so it is refused.
+    received = [0] * n
+    received[3], received[n - 1] = 2, 1
+    syndromes = compute_error_syndrome(received, spec, (0, 0, 0, 0))
+    assert syndromes == (3, 8 % p, 32 % p, 128 % p)
+    state = KeyEquationState(syndromes, (1, -4 % p, 0), (3, -4 % p), p)
+    with pytest.raises(UncorrectableError):
+        locate_and_evaluate(state, spec, received)
 
 
 def test_error_vector_validation():
@@ -247,6 +268,12 @@ def test_key_equation_state_validation():
     for modulus in (7, 2**61 - 1):
         state = KeyEquationState((1,), (1,), (1,), np.int64(modulus))
         assert type(state.modulus) is int and state.modulus == modulus
+    # Trailing zeros of the evaluator are trimmed before the comparison.
+    KeyEquationState((3, 5, 5, 6), (1, 0, 3), (3, 5, 0, 0), 7)
+    # (1 + z)(3 + 5z + 5z^2 + 6z^3) = 3 + z + 3z^2 + 4z^3 mod 7 matches the
+    # syndromes but is of degree 3, above the locator's 1.
+    with pytest.raises(ValueError, match="^evaluator degree must stay below the locator degree$"):
+        KeyEquationState((3, 5, 5, 6), (1, 1), (3, 1, 3, 4), 7)
 
 
 def test_locate_and_evaluate_two_errors():

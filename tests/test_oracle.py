@@ -4,7 +4,7 @@ import pytest
 
 from vtcodes import core, oracle
 from vtcodes.core import BudgetExceededError, CodeSpec, syndrome_profile
-from vtcodes.erasure import _decode_rows
+from vtcodes.erasure import InconsistentWordError, _decode_rows
 from vtcodes.errors import UncorrectableError
 from vtcodes.oracle import (
     VerificationReport,
@@ -54,6 +54,21 @@ def test_exact_min_distance():
     assert any(len(words) == 1 for words in buckets.values())
     report = distance_sweep(spec4)
     assert report.instances == sum(math.comb(len(w), 2) for w in buckets.values())
+
+
+def test_distance_sweep_reports_the_first_close_pair(monkeypatch):
+    # Cosets in sorted order: (0, 0)'s three pairs pass, and the first pair
+    # of (0, 1) is at distance 1.
+    buckets = {
+        (0, 1): [(1, 1, 1, 1, 1), (1, 1, 1, 1, 0)],
+        (0, 0): [(0, 0, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 0, 1, 1)],
+        (1, 0): [(1, 0, 0, 0, 0)],
+    }
+    monkeypatch.setattr(oracle, "coset_partition", lambda spec, budget: buckets)
+    assert distance_sweep(SPEC_253) == VerificationReport(
+        "min-distance", SPEC_253, 4, False,
+        ((0, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 0), 1), "pair at distance 1 < 3",
+    )
 
 
 def test_distance_sweep():
@@ -234,6 +249,24 @@ def test_one_word_sample_disagreement_fails_the_sweep(monkeypatch):
     assert report == VerificationReport(
         "decode:erasure", SPEC_253, 1, False,
         ((0, 0), (0,) * 5, (0,), (1, 0, 0, 0, 0)), "filled erasures with a different word",
+    )
+
+
+def test_one_word_sample_refusal_fails_the_sweep(monkeypatch):
+    # Mask 2, {position 3}, samples row 2, (1, 0, 0, 1, 1), through
+    # decode_erasures, which refuses it here while the batch accepts every
+    # case; the replay reports the refusal.
+    decode = oracle.decode_erasures
+
+    def refuses_mask_2(word, spec, offset):
+        if word[2] is None and word.count(None) == 1:
+            raise InconsistentWordError("injected")
+        return decode(word, spec, offset)
+
+    monkeypatch.setattr(oracle, "decode_erasures", refuses_mask_2)
+    assert decode_check_sweep(SPEC_253, "erasure") == VerificationReport(
+        "decode:erasure", SPEC_253, 2 * 15 + 2 + 1, False,
+        ((0, 0), (1, 0, 0, 1, 1), (2,)), "rejected as inconsistent: injected",
     )
 
 

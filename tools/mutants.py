@@ -73,7 +73,7 @@ MUTANTS = (
     ),
     Mutant(
         "e",
-        "a run's last hit dropped in _position_roots",
+        "a run's last hit dropped in _locator_roots",
         "src/vtcodes/core.py",
         "hits += (np.flatnonzero(v == qt) + top * width).tolist()",
         "hits += (np.flatnonzero(v == qt) + top * width).tolist()[:-1]",
@@ -102,9 +102,9 @@ MUTANTS = (
     Mutant(
         "i",
         "the plain-int root scan stops at position n - 1",
-        "src/vtcodes/errors.py",
-        "    for k in range(1, n + 1):\n        acc = 0\n",
-        "    for k in range(1, n):\n        acc = 0\n",
+        "src/vtcodes/core.py",
+        "        for k in range(1, n + 1):\n            acc = 0\n",
+        "        for k in range(1, n):\n            acc = 0\n",
     ),
     Mutant(
         "j",
@@ -140,6 +140,13 @@ MUTANTS = (
         "src/vtcodes/oracle.py",
         "    instances = 0\n    for offset, codewords in groups:\n",
         "    for offset, codewords in groups:\n        instances = 0\n",
+    ),
+    Mutant(
+        "o",
+        "the plain-int root scan reports position n at n = p",
+        "src/vtcodes/core.py",
+        "            if acc == 0 and k % p:\n",
+        "            if acc == 0:\n",
     ),
 )
 
