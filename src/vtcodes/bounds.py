@@ -184,14 +184,6 @@ class LengthBound:
     published: str | None
     note: str | None
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "redundancy_upper": self.redundancy_upper,
-            "published": self.published,
-            "note": self.note,
-        }
-
 
 def prime_length_report(q: int, d: int) -> list[LengthBound]:
     """Per-length bounds over admissible_prime_lengths(q, d).
@@ -277,18 +269,6 @@ class BoundRow:
     linear_baseline: int | None
     strict_improvement: bool | None
     note: str | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "d": self.d,
-            "redundancy_upper": self.redundancy_upper,
-            "modulus_used": self.modulus_used,
-            "linear_baseline": self.linear_baseline,
-            "strict_improvement": self.strict_improvement,
-            "note": self.note,
-        }
 
 
 def generate_table(

@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .bounds import (
     LinearBaseline,
@@ -281,7 +282,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     rows = generate_table(args.q, args.d, lengths=lengths, baseline=_load_baseline(args))
     if args.records:
         for row in rows:
-            print(json.dumps(row.to_record()))
+            print(json.dumps(asdict(row)))
         return 0
     print(f"q={args.q} d={args.d}")
     print(f"{'n':>5} {'modulus':>8} {'bound':>6} {'linear':>7} {'improves':>9}")
@@ -305,7 +306,7 @@ def _cmd_intervals(args: argparse.Namespace) -> int:
         rows = prime_length_report(args.q, args.d)
         if args.records:
             for row in rows:
-                print(json.dumps(row.to_record()))
+                print(json.dumps(asdict(row)))
             return 0
         for row in rows:
             line = f"n={row.n} bound={row.redundancy_upper}"

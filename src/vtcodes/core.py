@@ -271,6 +271,8 @@ def _as_int64(word: Word, q: int, allow_erasures: bool) -> tuple[np.ndarray, lis
         word = word.tolist()
     elif isinstance(word, (bytes, bytearray)):
         return np.frombuffer(word, dtype=np.uint8).astype(np.int64), []
+    elif not isinstance(word, (tuple, list)):
+        word = list(word)  # _convert_blocks slices it
     wide = q > 256
     try:
         if allow_erasures:
@@ -312,15 +314,17 @@ def _convert_blocks(word: Word, wide: bool) -> tuple[array | bytearray, list[int
     return buf, erased
 
 
-def _as_tuple(word: Word, symbols: Symbols, changed=()) -> Word:
-    """The decoded word as a tuple, from the input ``word`` and its
-    working form ``symbols`` (see validate_word), into which the decoder
-    has written the 1-based ``changed`` positions.
+def _as_tuple(word: Word, symbols: Symbols, changed: list[int]) -> Word:
+    """The decoded word as a tuple, the return rule of both decoders, from
+    the input ``word`` and its working form ``symbols`` (see
+    validate_word), into which the decoder has written the 1-based
+    ``changed`` positions.
 
     A list of Python ints is the whole answer.  From an int64 form only the
     changed positions are read, into a copy of a sequence input, which is
     faster than converting the whole array back; an unchanged tuple is
     returned as it is, and an ``ndarray`` input is converted to Python ints.
+    Unchanged symbols of a sequence input come back as it gave them.
     """
     if isinstance(symbols, list):
         return tuple(symbols)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CodeSpec, Offset, Word
+from .core import CodeSpec, Offset, Word, _as_tuple
 from .errors import _decode, _lift, _modified_moments, _syndrome_parts
 from .modarith import solve_moments
 
@@ -43,12 +43,12 @@ def decode_erasures(word: Word, spec: CodeSpec, offset: Offset) -> Word:
     m = len(erased)
     if m > spec.d - 1:
         raise ValueError(f"{m} erasures exceed the guaranteed limit d-1 = {spec.d - 1}")
-    result = _decode(word, symbols, spec, offset, shift, moments, erased, 0, True)
-    if type(result) is str:
+    nodes = _decode(symbols, spec, offset, shift, moments, erased, 0, True)
+    if type(nodes) is str:
         raise InconsistentWordError(
-            result if m else "word has no erasures and is not a coset member"
+            nodes if m else "word has no erasures and is not a coset member"
         )
-    return result
+    return _as_tuple(word, symbols, nodes)
 
 
 def _row_dtype(spec: CodeSpec):

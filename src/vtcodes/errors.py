@@ -41,10 +41,11 @@ and the known nodes together.  Two wrinkles are specific to this family:
 
 The word is read only through the working form ``core.validate_word``
 makes of it, which the decoder owns: the syndromes and the values come
-from it, the candidate is patched into it (and the patch undone if
-rejected), and ``core._as_tuple`` turns the accepted candidate into the
-returned tuple.  Whether a decode runs vectorised or on plain ints is
-decided in ``core`` alone, by one predicate on the spec
+from it, and the candidate is patched into it (the patch undone if
+rejected).  The core returns the positions it changed, or why it found
+none, and each public decoder builds its return from them at its one
+exit by ``core._as_tuple``.  Whether a decode runs vectorised or on plain
+ints is decided in ``core`` alone, by one predicate on the spec
 (``core._vectorised``): it picks the working form, an int64 array or a
 list of Python ints, and the branch of the root scan.
 """
@@ -295,7 +296,6 @@ def _modified_moments(moments: list[int], known: list[int], p: int) -> list[int]
 
 
 def _decode(
-    received: Word,
     symbols: Symbols,
     spec: CodeSpec,
     offset: Offset,
@@ -304,16 +304,17 @@ def _decode(
     known: list[int],
     budget: int,
     erasures: bool,
-) -> Word | str:
-    """The coset member that differs from the received word at most at the
-    ``known`` nodes and ``budget`` more positions, or why there is none.
+) -> list[int] | str:
+    """Patch into the received ``symbols`` the coset member that differs
+    from them at most at the ``known`` nodes and ``budget`` more positions;
+    return the 1-based positions it changed, or why there is none.
 
     ``shift`` and ``moments`` come from _syndrome_parts, with hi q-1 times
     the error positions allowed (0 for erasures).  With ``erasures`` the known
     nodes are erased positions; otherwise they are errors, and the
-    candidate is also checked by ``is_codeword``.  The candidate is patched
-    into ``symbols``, and the patch undone if it is rejected, since a later
-    phase reads the received symbols from it.
+    candidate is also checked by ``is_codeword``.  A rejected patch is
+    undone, since a later phase reads the received symbols from
+    ``symbols``.
     """
     p = spec.power_modulus
     modified = _modified_moments(moments, known, p) if known else moments
@@ -343,7 +344,7 @@ def _decode(
     for k, mag in zip(nodes, mags):
         symbols[k - 1] -= mag
     if erasures or is_codeword(symbols, spec, offset):
-        return _as_tuple(received, symbols, nodes)
+        return nodes
     for k, mag in zip(nodes, mags):
         symbols[k - 1] += mag
     return "the candidate is not a coset member"
@@ -359,17 +360,15 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     radius = spec.correction_radius
     hi = (spec.q - 1) * radius
     shift, moments, symbols, _ = _syndrome_parts(received, spec, offset, hi)
-    if not (shift or any(moments)):
-        return _as_tuple(received, symbols)
-    result = _decode(received, symbols, spec, offset, shift, moments, [], radius, False)
-    if type(result) is str and spec.n == spec.power_modulus:
-        # Position n has locator 0, which no locator root reaches.
-        known = [spec.n]
-        result = _decode(
-            received, symbols, spec, offset, shift, moments, known, radius - 1, False
-        )
-    if type(result) is str:
-        raise UncorrectableError(
-            f"no coset member within {radius} substitutions of the received word"
-        )
-    return result
+    nodes = []
+    if shift or any(moments):
+        nodes = _decode(symbols, spec, offset, shift, moments, [], radius, False)
+        if type(nodes) is str and spec.n == spec.power_modulus:
+            # Position n has locator 0, which no locator root reaches.
+            known = [spec.n]
+            nodes = _decode(symbols, spec, offset, shift, moments, known, radius - 1, False)
+        if type(nodes) is str:
+            raise UncorrectableError(
+                f"no coset member within {radius} substitutions of the received word"
+            )
+    return _as_tuple(received, symbols, nodes)

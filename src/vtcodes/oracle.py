@@ -3,9 +3,9 @@
 Everything here works by brute force over the full cube of q**n words, so
 all entry points take an enumeration budget and refuse oversized jobs.
 The decoders are exercised against corruptions of every codeword of every
-coset.  The ground truth is ``coset_partition``'s own loop over the cube,
-independent of the algebra being verified: a bug in the syndrome
-machinery cannot hide in a check that only compares words.
+coset.  The ground truth is this module's own loop over the cube
+(``_profiles``), independent of the algebra being verified: a bug in
+the syndrome machinery cannot hide in a check that only compares words.
 
 Every decode mode goes through one report builder, over the cosets the
 oracle enumerates itself: one for ``exhaustive_decode_check``, every
@@ -36,7 +36,6 @@ from .core import (
     Word,
     _check_budget,
     _masked_sums,
-    enumerate_codewords,
     hamming_distance,
     is_codeword,
     validate_offset,
@@ -70,6 +69,16 @@ def coset_partition(
     """Group every word of the cube by its syndrome profile, in one pass.
 
     Values are in lexicographic word order; only occupied profiles appear.
+    """
+    buckets: dict[Offset, list[Word]] = {}
+    for key, w in _profiles(spec, budget):
+        buckets.setdefault(key, []).append(w)
+    return buckets
+
+
+def _profiles(spec: CodeSpec, budget: int):
+    """(profile, word) for every word of the cube, in lexicographic order.
+
     The profiles come from the defining sums, in exact ints, with this
     module's own loop over columns of i**j built once: the syndrome kernel
     behind ``is_codeword`` and the decoders is not used, so a fault in it
@@ -78,11 +87,14 @@ def coset_partition(
     _check_budget(spec, budget)
     m0, p = spec.sum_modulus, spec.power_modulus
     columns = [tuple(i**j for i in range(1, spec.n + 1)) for j in range(1, spec.d - 1)]
-    buckets: dict[Offset, list[Word]] = {}
     for w in itertools.product(range(spec.q), repeat=spec.n):
-        key = (sum(w) % m0, *[sum(map(mul, w, col)) % p for col in columns])
-        buckets.setdefault(key, []).append(w)
-    return buckets
+        yield (sum(w) % m0, *[sum(map(mul, w, col)) % p for col in columns]), w
+
+
+def _coset(spec: CodeSpec, offset: Offset, budget: int) -> list[Word]:
+    """The members of one coset, in lexicographic order, from _profiles."""
+    target = validate_offset(offset, spec)
+    return [w for key, w in _profiles(spec, budget) if key == target]
 
 
 def partition_check(
@@ -322,7 +334,7 @@ def exhaustive_decode_check(
                     (requires a radius of at least 2)
     """
     _check_mode(spec, mode)
-    codewords = enumerate_codewords(spec, offset, budget)
+    codewords = _coset(spec, offset, budget)
     return _decode_report(spec, mode, [(offset, codewords)], f"{len(codewords)} codewords")
 
 

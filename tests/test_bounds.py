@@ -1,5 +1,6 @@
 import builtins
 import math
+from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 
@@ -275,7 +276,7 @@ def test_generate_table_custom_lengths():
     assert [r.n for r in rows] == [22, 40]
     assert rows[1].linear_baseline is None
     assert rows[1].strict_improvement is None
-    record = rows[0].to_record()
+    record = asdict(rows[0])
     assert record["n"] == 22
     assert record["redundancy_upper"] == "3.67"
     assert record["strict_improvement"] is True

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -142,7 +143,7 @@ def test_cli_tables_matches_library(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     got = [json.loads(line) for line in lines]
-    expected = [row.to_record() for row in generate_table(4, 3)]
+    expected = [asdict(row) for row in generate_table(4, 3)]
     assert got == expected
 
 
@@ -181,7 +182,7 @@ def test_cli_interval_report_matches_library(capsys):
     rc = main(["--records", "intervals", "--q", "17", "--d", "5"])
     assert rc == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert rows == [row.to_record() for row in prime_length_report(17, 5)]
+    assert rows == [asdict(row) for row in prime_length_report(17, 5)]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from vtcodes import core, oracle
+from vtcodes import core, errors, oracle
 from vtcodes.core import BudgetExceededError, CodeSpec, syndrome_profile
 from vtcodes.erasure import InconsistentWordError, _decode_rows
 from vtcodes.errors import UncorrectableError
@@ -116,7 +116,7 @@ def test_decode_check_sweep_totals():
 
 def _enumerates(monkeypatch, codewords):
     # The oracle enumerates ``codewords`` as the members of any coset.
-    monkeypatch.setattr(oracle, "enumerate_codewords", lambda spec, offset, budget: codewords)
+    monkeypatch.setattr(oracle, "_coset", lambda spec, offset, budget: codewords)
 
 
 def test_failure_is_reported_with_counterexample(monkeypatch):
@@ -144,6 +144,24 @@ def test_partition_check_catches_a_kernel_fault(monkeypatch):
     report = partition_check(CodeSpec(3, 5, 3))
     assert not report.passed
     assert report.detail == "membership test disagrees with profile bucket"
+
+
+@pytest.mark.parametrize("mode", ["single-error", "erasure"])
+def test_exhaustive_check_catches_a_kernel_fault(monkeypatch, mode):
+    # exhaustive_decode_check enumerates its coset with the oracle's own
+    # loop too.  With every weighted sum shifted by one everywhere the
+    # kernel is read, the decoders miss the true members; a coset taken
+    # from the faulty kernel would hold words they decode back.
+    kernel = core._masked_sums
+
+    def shifted(symbols, spec):
+        plain, weighted = kernel(symbols, spec)
+        return plain, tuple((w + 1) % spec.power_modulus for w in weighted)
+
+    for module in (core, errors, oracle):
+        monkeypatch.setattr(module, "_masked_sums", shifted)
+    report = exhaustive_decode_check(CodeSpec(2, 6, 4), (0, 0, 3), mode)
+    assert not report.passed
 
 
 SPEC_253 = CodeSpec(2, 5, 3)

@@ -148,6 +148,13 @@ MUTANTS = (
         "            if acc == 0 and k % p:\n",
         "            if acc == 0:\n",
     ),
+    Mutant(
+        "p",
+        "the return rule drops the changed positions of a sequence input",
+        "src/vtcodes/core.py",
+        "        out[k - 1] = int(symbols[k - 1])\n",
+        "        pass\n",
+    ),
 )
 
 
