@@ -34,7 +34,6 @@ from .core import (
     CodeSpec,
     best_offset_search,
     checksum,
-    enumerate_codewords,
     format_offset,
     format_word,
     is_codeword,
@@ -88,7 +87,6 @@ __all__ = [
     "decode_erasures",
     "decode_errors",
     "distance_sweep",
-    "enumerate_codewords",
     "exhaustive_decode_check",
     "format_offset",
     "format_word",

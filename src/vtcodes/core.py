@@ -586,23 +586,6 @@ def _check_budget(spec: CodeSpec, budget: int) -> None:
         )
 
 
-def enumerate_codewords(
-    spec: CodeSpec, offset: Offset, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[Word]:
-    """All members of the coset, in lexicographic order.
-
-    Scans the full cube of q**n words and therefore refuses to start when
-    that count exceeds ``budget``.
-    """
-    target = validate_offset(offset, spec)
-    _check_budget(spec, budget)
-    return [
-        w
-        for w in itertools.product(range(spec.q), repeat=spec.n)
-        if _profile_of(w, spec) == target
-    ]
-
-
 def best_offset_search(
     spec: CodeSpec, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[Offset, int]:

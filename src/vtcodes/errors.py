@@ -13,7 +13,8 @@ three ways:
 * ``decode_errors``: nothing is known, and the budget is floor((d-1)/2).
 * When n equals the prime modulus, position n has locator 0 and cannot be
   seen by the locator polynomial.  A second phase of ``decode_errors``
-  knows position n and looks for one error fewer.
+  knows position n and looks for one error fewer (``_phases`` lists
+  them).
 
 The core follows Forney's modified syndromes ("On decoding BCH codes",
 1965).  Multiplying the moment series by Gamma(z) = prod (1 - k*z) over the
@@ -39,6 +40,15 @@ and the known nodes together.  Two wrinkles are specific to this family:
   is rejected.  An error's magnitude must be nonzero; an erased symbol may
   be 0.
 
+The core works in two steps.  The candidate (``_candidate``) reads only
+the moments: the modified moments, Berlekamp-Massey, the root scan and
+the residues of the values.  Its acceptance reads the received symbols:
+the lift into the alphabet, the nonzero magnitude, the exact plain sum,
+the patch and, for errors, ``is_codeword``.  ``_error_rows`` decodes many
+words under one substitution pattern with the same two steps: one
+candidate per distinct row of moments, and the acceptance as array
+masks.
+
 The word is read only through the working form ``core.validate_word``
 makes of it, which the decoder owns: the syndromes and the values come
 from it, and the candidate is patched into it (the patch undone if
@@ -53,6 +63,8 @@ list of Python ints, and the branch of the root scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     CodeSpec,
@@ -235,18 +247,17 @@ class KeyEquationState:
 
 
 def _lifted(
-    nodes: list[int], moments: list[int], spec: CodeSpec, received, erasures: bool
+    nodes: list[int], residues: tuple[int, ...], spec: CodeSpec, received, erasures: bool
 ) -> list[int] | str:
     """The integer magnitude at each node, or why there is none.
 
-    The magnitudes solve the first len(nodes) moments mod the prime.  Each
-    residue lifts to the unique integer that pulls the received symbol back
-    into the alphabet.  An error's magnitude must be nonzero; where the
-    nodes are ``erasures`` the recovered symbol may be 0.
+    Each residue mod the prime lifts to the unique integer that pulls the
+    received symbol back into the alphabet.  An error's magnitude must be
+    nonzero; where the nodes are ``erasures`` the recovered symbol may be 0.
     """
     p = spec.power_modulus
     mags = []
-    for k, residue in zip(nodes, solve_moments(nodes, moments, p)):
+    for k, residue in zip(nodes, residues):
         symbol = received[k - 1]
         sent = (symbol - residue) % p
         if sent >= spec.q:
@@ -269,7 +280,8 @@ def locate_and_evaluate(
     lam = list(state.locator)
     roots = _locator_roots(lam, spec) if len(lam) > 1 else []
     if len(roots) == len(lam) - 1 <= len(state.syndromes):
-        mags = _lifted(roots, list(state.syndromes), spec, received, False)
+        residues = solve_moments(roots, list(state.syndromes), spec.power_modulus)
+        mags = _lifted(roots, residues, spec, received, False)
         if type(mags) is list:
             return ErrorVector(tuple(zip(roots, mags)))
     raise UncorrectableError("locator roots or magnitudes are inconsistent")
@@ -295,6 +307,48 @@ def _modified_moments(moments: list[int], known: list[int], p: int) -> list[int]
     return modified
 
 
+def _phases(spec: CodeSpec) -> list[tuple[list[int], int]]:
+    """(known nodes, budget) of each phase of decode_errors, in order.
+
+    Phase one knows nothing and looks for up to the correction radius of
+    errors.  When n equals the prime, position n has locator 0, which no
+    locator root reaches: phase two knows it and looks for one error fewer.
+    """
+    radius = spec.correction_radius
+    if spec.n == spec.power_modulus:
+        return [([], radius), ([spec.n], radius - 1)]
+    return [([], radius)]
+
+
+def _candidate(
+    spec: CodeSpec, moments: list[int], known: list[int], budget: int
+) -> tuple[list[int], tuple[int, ...], list[int]] | str:
+    """The first step of the core, which reads only the moments: the nodes
+    they point to and the residue mod the prime of the value at each, with
+    the modified moments that must vanish; or why there are none.
+
+    The nodes are the ``known`` ones and, with a ``budget``, the roots of
+    the Berlekamp-Massey locator of the modified moments; the residues
+    solve the first len(nodes) moments.  With no budget the modified
+    moments from len(known) on are left to vanish; with one, the locator
+    has used them all and none are left.
+    """
+    p = spec.power_modulus
+    modified = _modified_moments(moments, known, p) if known else moments
+    nodes = known
+    if budget:
+        lam, length = berlekamp_massey(modified, p)
+        if length > budget or len(lam) - 1 != length:
+            return "no locator within the budget"
+        if length:
+            roots = _locator_roots(lam, spec)
+            if len(roots) != length:
+                return "the locator has too few roots among the positions"
+            nodes = roots + known
+        modified = []
+    return nodes, solve_moments(nodes, moments, p), modified
+
+
 def _decode(
     symbols: Symbols,
     spec: CodeSpec,
@@ -309,35 +363,29 @@ def _decode(
     from them at most at the ``known`` nodes and ``budget`` more positions;
     return the 1-based positions it changed, or why there is none.
 
+    The core's two steps: the candidate (_candidate), from the moments
+    alone, then its acceptance, which reads the received symbols: each
+    value lifts into the alphabet (_lifted), the modified moments left
+    over vanish, and the magnitudes add up to the exact plain sum.
     ``shift`` and ``moments`` come from _syndrome_parts, with hi q-1 times
-    the error positions allowed (0 for erasures).  With ``erasures`` the known
-    nodes are erased positions; otherwise they are errors, and the
-    candidate is also checked by ``is_codeword``.  A rejected patch is
+    the error positions allowed (0 for erasures).  With ``erasures`` the
+    known nodes are erased positions; otherwise they are errors, and the
+    patched word is also checked by ``is_codeword``.  A rejected patch is
     undone, since a later phase reads the received symbols from
     ``symbols``.
     """
-    p = spec.power_modulus
-    modified = _modified_moments(moments, known, p) if known else moments
-    nodes = known
-    if budget:
-        lam, length = berlekamp_massey(modified, p)
-        if length > budget or len(lam) - 1 != length:
-            return "no locator within the budget"
-        if length:
-            roots = _locator_roots(lam, spec)
-            if len(roots) != length:
-                return "the locator has too few roots among the positions"
-            nodes = roots + known
-    mags = _lifted(nodes, moments, spec, symbols, erasures)
+    candidate = _candidate(spec, moments, known, budget)
+    if type(candidate) is str:
+        return candidate
+    nodes, residues, residual = candidate
+    mags = _lifted(nodes, residues, spec, symbols, erasures)
     if type(mags) is str:
         return mags
-    if not budget:
-        # No unknown errors: the known nodes must explain every moment.  An
-        # out-of-range value above is the reason an erasure decode reports
-        # first.
-        for j, residual in enumerate(modified, start=len(known)):
-            if residual:
-                return f"moment equation {j} unsatisfied by the recovered symbols"
+    # With no budget the known nodes must explain every moment.  An
+    # out-of-range value above is the reason an erasure decode reports first.
+    for j, value in enumerate(residual, start=len(known)):
+        if value:
+            return f"moment equation {j} unsatisfied by the recovered symbols"
     # The solve meets moment 0 only mod p; the exact plain sum decides.
     if sum(mags) != shift:
         return "completed word fails the membership check"
@@ -362,13 +410,79 @@ def decode_errors(received: Word, spec: CodeSpec, offset: Offset) -> Word:
     shift, moments, symbols, _ = _syndrome_parts(received, spec, offset, hi)
     nodes = []
     if shift or any(moments):
-        nodes = _decode(symbols, spec, offset, shift, moments, [], radius, False)
-        if type(nodes) is str and spec.n == spec.power_modulus:
-            # Position n has locator 0, which no locator root reaches.
-            known = [spec.n]
-            nodes = _decode(symbols, spec, offset, shift, moments, known, radius - 1, False)
-        if type(nodes) is str:
+        for known, budget in _phases(spec):
+            nodes = _decode(symbols, spec, offset, shift, moments, known, budget, False)
+            if type(nodes) is not str:
+                break
+        else:
             raise UncorrectableError(
                 f"no coset member within {radius} substitutions of the received word"
             )
     return _as_tuple(received, symbols, nodes)
+
+
+def _error_rows(
+    symbols: np.ndarray,
+    sums: np.ndarray,
+    offsets: np.ndarray,
+    spec: CodeSpec,
+    positions: list[int],
+    bumps: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """decode_errors on every row at once, under one substitution pattern.
+
+    Row r of ``symbols``, ``sums`` and ``offsets`` is a word as
+    ``erasure._decode_rows`` takes it: its working form, its
+    ``core._masked_sums`` and its validated offset, of dtype
+    ``erasure._row_dtype(spec)``.  The received word is that word with
+    the symbol at each 1-based position of ``positions`` raised by its bump
+    mod q; its sums are the word's plus the terms of the error,
+    len(positions)*(d-1) per row.  Returns ``(decoded, accepted)``: per
+    row the word decode_errors returns, and whether it returns one rather
+    than raising.
+
+    Each error is the bump, or the bump - q where the symbol wrapped, so
+    over the members of a coset the moment rows of one pattern take at most
+    2**t values.  Each phase's candidate (_candidate) is found once per
+    distinct row of moments, and accepted by the checks _decode makes, as
+    array masks over the rows that share it and that no earlier phase
+    accepted: each recovered symbol lies in the alphabet and the
+    magnitudes add up to the exact plain sum.  The membership check is not
+    repeated: a candidate meets every moment mod p, so those checks already
+    make the patched word a coset member.
+    """
+    p, q = spec.power_modulus, spec.q
+    dtype = symbols.dtype
+    cols = [k - 1 for k in positions]
+    received = symbols.copy()
+    received[:, cols] = (symbols[:, cols] + np.array(bumps, dtype=dtype)) % q
+    powers = [[pow(k, j, p) for j in range(spec.d - 1)] for k in positions]
+    sums = sums + (received[:, cols] - symbols[:, cols]) @ np.array(powers, dtype=dtype)
+    shift = _lift(sums[:, 0], offsets[:, 0], (q - 1) * spec.correction_radius, spec.sum_modulus)
+    moments = (sums - offsets) % p
+    moments[:, 0] = shift % p
+    # Sorted, rows with equal moments lie in one run; each run shares a
+    # candidate.
+    order = np.lexsort(moments.T)
+    moments = moments[order]
+    starts = np.flatnonzero(np.r_[True, (moments[1:] != moments[:-1]).any(axis=1)])
+    decoded = received.copy()
+    accepted = np.zeros(len(received), dtype=bool)
+    for known, budget in _phases(spec):
+        for row, run in zip(moments[starts].tolist(), np.split(order, starts[1:])):
+            rows = run[~accepted[run]]
+            if not len(rows):
+                continue
+            candidate = _candidate(spec, list(row), known, budget)
+            # A zero magnitude or a modified moment left over does not depend
+            # on the received symbols: it refuses every row.
+            if type(candidate) is str or not all(candidate[1]) or any(candidate[2]):
+                continue
+            nodes, residues, _ = candidate
+            at = np.ix_(rows, [k - 1 for k in nodes])
+            symbol = received[at]
+            sent = (symbol - np.array(residues, dtype=dtype)) % p
+            ok = (sent < q).all(axis=1) & ((symbol - sent).sum(axis=1) == shift[rows])
+            decoded[rows[ok][:, None], at[1]] = sent[ok]
+            accepted[rows[ok]] = True
+    return decoded, accepted

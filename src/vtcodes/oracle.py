@@ -9,16 +9,19 @@ the syndrome machinery cannot hide in a check that only compares words.
 
 Every decode mode goes through one report builder, over the cosets the
 oracle enumerates itself: one for ``exhaustive_decode_check``, every
-occupied one for ``decode_check_sweep``.  Substitution cases are decoded
-one word at a time.  Erasure cases run in ``erasure._decode_rows``, one
-array pass per erasure mask over every codeword of every coset, each row
-with its own offset.  That pass takes every step from the code
-``decode_erasures`` runs (validation, the syndrome kernel, the lift, the
-solve and the modified moments), so a fault there fails both.  The
-one-word decoder stays checked in every sweep: each mask also decodes one
-codeword through it, a disagreement fails that case, and the first
-failing case is replayed through it to make the report a case-by-case
-loop would make.
+occupied one for ``decode_check_sweep``.  Cases run one array pass per
+corruption pattern over every codeword of every coset, each row with its
+own offset: ``erasure._decode_rows`` for an erasure mask, and
+``errors._error_rows`` for a substitution pattern, which finds the
+decoding core's candidate once per distinct syndrome row and accepts
+each row by array masks.  Both passes take every step from the code the
+one-word decoders run (validation, the syndrome kernel, the lift, the
+solve, the modified moments and, for substitutions, Berlekamp-Massey and
+the root scan), so a fault there fails both.  The one-word decoders
+stay checked in every sweep: each pattern also decodes one codeword
+through ``decode_erasures`` or ``decode_errors``, a disagreement fails
+that case, and the first failing case is replayed through it to make
+the report a case-by-case loop would make.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .core import (
     validate_word,
 )
 from .erasure import InconsistentWordError, _decode_rows, _row_dtype, decode_erasures
-from .errors import UncorrectableError, decode_errors
+from .errors import UncorrectableError, _error_rows, decode_errors
 
 DECODE_MODES = ("erasure", "single-error", "multi-error")
 
@@ -172,31 +175,25 @@ def distance_sweep(
     )
 
 
-def _erasure_masks(spec: CodeSpec) -> list[tuple[int, ...]]:
-    """Every erasure mask of 1..d-1 positions, 0-based, by weight and
-    then lexicographically."""
+def _patterns(spec: CodeSpec, mode: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every corruption pattern of ``mode`` in case order: (positions,
+    bumps), positions 0-based, by weight, then positions lexicographically,
+    then bumps.  An erasure pattern erases 1..d-1 positions and has no
+    bumps; a substitution pattern raises each of its positions by a bump in
+    1..q-1, mod q."""
+    if mode == "erasure":
+        return [
+            (positions, ())
+            for count in range(1, spec.d)
+            for positions in itertools.combinations(range(spec.n), count)
+        ]
+    top = 1 if mode == "single-error" else spec.correction_radius
     return [
-        positions
-        for count in range(1, spec.d)
+        (positions, bumps)
+        for count in range(1, top + 1)
         for positions in itertools.combinations(range(spec.n), count)
+        for bumps in itertools.product(range(1, spec.q), repeat=count)
     ]
-
-
-def _masked(word: Word, positions: tuple[int, ...]) -> Word:
-    masked = list(word)
-    for i in positions:
-        masked[i] = None
-    return tuple(masked)
-
-
-def _error_cases(word: Word, spec: CodeSpec, weights):
-    for count in weights:
-        for positions in itertools.combinations(range(spec.n), count):
-            for bumps in itertools.product(range(1, spec.q), repeat=count):
-                corrupted = list(word)
-                for i, bump in zip(positions, bumps):
-                    corrupted[i] = (corrupted[i] + bump) % spec.q
-                yield positions, tuple(corrupted)
 
 
 def _check_mode(spec: CodeSpec, mode: str) -> None:
@@ -208,89 +205,92 @@ def _check_mode(spec: CodeSpec, mode: str) -> None:
         )
 
 
-# Rows per batch of the erasure check: it bounds the arrays at the
+# Rows per batch of the decode checks: it bounds the arrays at the
 # 2**24-word budget, and every Tier-1 sweep fits in one batch.
 _BATCH_ROWS = 1 << 14
+
+# The detail of a case decoded to another word, and of a case that only
+# the batch fails: in the erasure mode, and in the substitution modes.
+_ERASURE_DETAILS = (
+    "filled erasures with a different word",
+    "batched erasure decode disagrees with decode_erasures",
+)
+_ERROR_DETAILS = (
+    "decoded to a different word",
+    "batched error decode disagrees with decode_errors",
+)
 
 
 def _decode_report(spec: CodeSpec, mode: str, groups, summary: str) -> VerificationReport:
     """The report of ``mode`` over ``groups``, (offset, codewords) pairs of
-    the oracle's own enumeration, each offset valid; ``summary`` leads the
-    detail of a passing report."""
-    if mode == "erasure":
-        instances, counterexample, detail = _erasure_check(spec, groups)
-    else:
-        weights = (1,) if mode == "single-error" else range(1, spec.correction_radius + 1)
-        instances, counterexample, detail = _error_check(spec, groups, weights)
+    the oracle's own enumeration; ``summary`` leads the detail of a passing
+    report.
+
+    Case row * len(patterns) + j is the row-th codeword of ``groups`` under
+    the j-th pattern of _patterns.  Rows are decoded in batches of
+    _BATCH_ROWS, and the first failing case is replayed through the
+    one-word decoder, which gives the report a case-by-case loop would.
+    """
+    patterns = _patterns(spec, mode)
+    rows = []
+    for offset, codewords in groups:
+        target = validate_offset(offset, spec)
+        rows += [(offset, target, x) for x in codewords]
     name = f"decode:{mode}"
-    if counterexample is not None:
-        return VerificationReport(name, spec, instances, False, counterexample, detail)
+    for top in range(0, len(rows), _BATCH_ROWS):
+        case = _first_failure(spec, mode, rows[top : top + _BATCH_ROWS], patterns)
+        if case is None:
+            continue
+        case += top * len(patterns)
+        row, j = divmod(case, len(patterns))
+        offset, _, x = rows[row]
+        positions = patterns[j][0]
+        got, refusal = _decode_case(spec, mode, offset, x, patterns[j])
+        different, disagrees = _ERASURE_DETAILS if mode == "erasure" else _ERROR_DETAILS
+        if refusal is not None:
+            counterexample, detail = (offset, x, positions), refusal
+        elif got != x:
+            counterexample, detail = (offset, x, positions, got), different
+        else:
+            counterexample, detail = (offset, x, positions), disagrees
+        return VerificationReport(name, spec, case + 1, False, counterexample, detail)
+    instances = len(rows) * len(patterns)
     return VerificationReport(
         name, spec, instances, True, detail=f"{summary}, {instances} corruptions"
     )
 
 
-def _error_check(spec: CodeSpec, groups, weights) -> tuple[int, tuple | None, str | None]:
-    """(instances, counterexample, detail) of the substitution patterns of
-    ``weights`` over every codeword of ``groups``, decoded one at a time;
-    counterexample and detail are None when every case passes."""
-    instances = 0
-    for offset, codewords in groups:
-        for x in codewords:
-            for positions, corrupted in _error_cases(x, spec, weights):
-                instances += 1
-                try:
-                    got = decode_errors(corrupted, spec, offset)
-                except UncorrectableError as exc:
-                    return instances, (offset, x, positions), f"rejected as uncorrectable: {exc}"
-                if got != x:
-                    return instances, (offset, x, positions, got), "decoded to a different word"
-    return instances, None, None
-
-
-def _erasure_check(spec: CodeSpec, groups) -> tuple[int, tuple | None, str | None]:
-    """(instances, counterexample, detail) of every erasure mask over every
-    codeword of ``groups``, as _error_check.
-
-    Case row * masks + mask is the row-th codeword under the mask-th mask
-    of _erasure_masks.  The first failing case is replayed through
-    decode_erasures, which gives the report a case-by-case loop would.
-    """
-    masks = _erasure_masks(spec)
-    rows = []
-    for offset, codewords in groups:
-        target = validate_offset(offset, spec)
-        rows += [(offset, target, x) for x in codewords]
-    for top in range(0, len(rows), _BATCH_ROWS):
-        case = _first_failure(spec, rows[top : top + _BATCH_ROWS], masks)
-        if case is None:
-            continue
-        case += top * len(masks)
-        row, j = divmod(case, len(masks))
-        offset, _, x = rows[row]
-        positions = masks[j]
-        instances = case + 1
+def _decode_case(spec: CodeSpec, mode: str, offset: Offset, x: Word, pattern):
+    """The one-word decode of codeword ``x`` under ``pattern``: (the word
+    returned, None), or (None, why it was refused).  The decoders are
+    looked up at call time."""
+    positions, bumps = pattern
+    corrupted = list(x)
+    if mode == "erasure":
+        for i in positions:
+            corrupted[i] = None
         try:
-            got = decode_erasures(_masked(x, positions), spec, offset)
+            return decode_erasures(tuple(corrupted), spec, offset), None
         except InconsistentWordError as exc:
-            return instances, (offset, x, positions), f"rejected as inconsistent: {exc}"
-        if got != x:
-            return instances, (offset, x, positions, got), "filled erasures with a different word"
-        return (
-            instances, (offset, x, positions),
-            "batched erasure decode disagrees with decode_erasures",
-        )
-    return len(rows) * len(masks), None, None
+            return None, f"rejected as inconsistent: {exc}"
+    for i, bump in zip(positions, bumps):
+        corrupted[i] = (corrupted[i] + bump) % spec.q
+    try:
+        return decode_errors(tuple(corrupted), spec, offset), None
+    except UncorrectableError as exc:
+        return None, f"rejected as uncorrectable: {exc}"
 
 
-def _first_failure(spec: CodeSpec, batch, masks) -> int | None:
+def _first_failure(spec: CodeSpec, mode: str, batch, patterns) -> int | None:
     """The first failing case among ``batch``'s rows, numbered from its
     first row; None if every case passes.
 
     Each codeword is read once by validate_word and _masked_sums; then each
-    mask is one erasure._decode_rows call over the batch.  A case fails if
-    the batch rejects it or fills in other symbols.  Per mask, one row is
-    also decoded by decode_erasures, and a disagreement fails that case.
+    pattern is one batched decode over the batch: erasure._decode_rows for
+    an erasure mask, errors._error_rows for a substitution pattern.  A case
+    fails if the batch rejects it or decodes it to other symbols.  Per
+    pattern, one row is also decoded by the one-word decoder, and a
+    disagreement fails that case.
     """
     forms, sums, targets = [], [], []
     for _, target, x in batch:
@@ -302,19 +302,20 @@ def _first_failure(spec: CodeSpec, batch, masks) -> int | None:
     dtype = _row_dtype(spec)
     symbols, sums, targets = (np.array(a, dtype=dtype) for a in (forms, sums, targets))
     first = None
-    for j, positions in enumerate(masks):
-        cols = list(positions)
-        filled, accepted = _decode_rows(symbols, sums, targets, spec, [i + 1 for i in cols])
-        failed = ~accepted | (filled != symbols[:, cols]).any(axis=1)
+    for j, (positions, bumps) in enumerate(patterns):
+        nodes = [i + 1 for i in positions]
+        if mode == "erasure":
+            filled, accepted = _decode_rows(symbols, sums, targets, spec, nodes)
+            failed = ~accepted | (filled != symbols[:, list(positions)]).any(axis=1)
+        else:
+            decoded, accepted = _error_rows(symbols, sums, targets, spec, nodes, bumps)
+            failed = ~accepted | (decoded != symbols).any(axis=1)
         s = j % len(batch)
         if not failed[s]:
             offset, _, x = batch[s]
-            try:
-                failed[s] = decode_erasures(_masked(x, positions), spec, offset) != x
-            except InconsistentWordError:
-                failed[s] = True
+            failed[s] = _decode_case(spec, mode, offset, x, patterns[j])[0] != x
         if failed.any():
-            case = int(failed.argmax()) * len(masks) + j
+            case = int(failed.argmax()) * len(patterns) + j
             first = case if first is None else min(first, case)
     return first
 

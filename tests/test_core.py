@@ -21,7 +21,6 @@ from vtcodes.core import (
     CodeSpec,
     best_offset_search,
     checksum,
-    enumerate_codewords,
     format_offset,
     format_word,
     hamming_distance,
@@ -35,6 +34,7 @@ from vtcodes.core import (
 )
 from vtcodes.erasure import InconsistentWordError, decode_erasures
 from vtcodes.errors import UncorrectableError, decode_errors
+from vtcodes.oracle import _coset
 
 
 def test_spec_moduli():
@@ -254,20 +254,10 @@ def test_is_codeword():
     assert is_codeword((1, 1, 1, 1, 1), spec, (2, 0))
 
 
-def test_enumerate_codewords_known_coset():
-    spec = CodeSpec(2, 5, 3)
-    words = enumerate_codewords(spec, (0, 0))
-    assert words == [
-        (0, 0, 0, 0, 0),
-        (0, 1, 1, 0, 1),
-        (1, 0, 0, 1, 1),
-    ]
-
-
 def test_enumeration_budget_refusal():
     spec = CodeSpec(2, 30, 3)
     with pytest.raises(BudgetExceededError):
-        enumerate_codewords(spec, (0, 0), budget=1 << 20)
+        _coset(spec, (0, 0), 1 << 20)
     with pytest.raises(BudgetExceededError):
         best_offset_search(spec, budget=1 << 20)
     assert 2**30 > 1 << 20 < DEFAULT_ENUMERATION_BUDGET
@@ -279,7 +269,7 @@ def test_cosets_partition_the_cube():
     assert len(offsets) == spec.offset_space_size == 15
     seen = 0
     for offset in offsets:
-        seen += len(enumerate_codewords(spec, offset))
+        seen += len(_coset(spec, offset, DEFAULT_ENUMERATION_BUDGET))
     assert seen == 2**5
     # spot-check one word lands in exactly one coset
     word = (1, 1, 0, 1, 0)
@@ -347,7 +337,7 @@ def test_public_surface():
         "admissible_prime_lengths", "berlekamp_massey", "best_offset_search",
         "checksum", "code_size_lower_bound", "compute_error_syndrome",
         "coset_partition", "decode_check_sweep", "decode_erasures", "decode_errors",
-        "distance_sweep", "enumerate_codewords", "exhaustive_decode_check",
+        "distance_sweep", "exhaustive_decode_check",
         "format_offset", "format_word", "generate_table",
         "improvement_interval_defect0", "improvement_interval_defect1",
         "is_codeword", "locate_and_evaluate", "parse_offset", "parse_word",
@@ -459,7 +449,7 @@ def _word_and_offset(data, spec):
 
 RULE_ENTRY_POINTS = (
     "CodeSpec", "syndrome_profile", "is_codeword", "decode_errors", "decode_erasures",
-    "checksum", "enumerate_codewords", "is_prime_power", "improvement_interval_defect0",
+    "checksum", "_coset", "is_prime_power", "improvement_interval_defect0",
     "corrupt",
 )
 
@@ -496,12 +486,9 @@ def test_every_entry_point_reads_integers_by_one_rule(entry, data, kind, spec):
     elif entry == "checksum":
         order = {"j": (data.draw(st.integers(0, 4)), "checksum order")}
         _check_rule(data, kind, order, words, checksum)
-    elif entry == "enumerate_codewords":
+    elif entry == "_coset":
         budget = {"budget": (3**7, "budget")}  # enumerates (3, 7, 5), refuses the rest
-        _check_rule(
-            data, kind, budget, offsets,
-            lambda offset, budget: enumerate_codewords(spec, offset, budget),
-        )
+        _check_rule(data, kind, budget, offsets, lambda offset, budget: _coset(spec, offset, budget))
     elif entry in ("is_prime_power", "improvement_interval_defect0"):
         q = {"q": (data.draw(st.sampled_from([spec.q, rng.randrange(300)])), "q")}
         _check_rule(data, kind, q, {}, getattr(bounds, entry))

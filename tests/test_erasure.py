@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from vtcodes.core import (
     _VECTOR_MIN_LENGTH,
+    DEFAULT_ENUMERATION_BUDGET,
     CodeSpec,
     _masked_sums,
     checksum,
-    enumerate_codewords,
     parse_word,
     syndrome_profile,
     validate_word,
@@ -23,6 +23,7 @@ from vtcodes.erasure import (
     decode_erasures,
 )
 from vtcodes.modarith import smallest_prime_geq
+from vtcodes.oracle import _coset
 
 
 def exact_profile(word, spec):
@@ -68,7 +69,7 @@ def test_erasure_at_final_position():
 def test_every_mask_on_every_codeword_small():
     spec = CodeSpec(3, 4, 3)
     for offset in ((0, 0), (1, 2), (4, 4)):
-        for word in enumerate_codewords(spec, offset):
+        for word in _coset(spec, offset, DEFAULT_ENUMERATION_BUDGET):
             for m in range(1, spec.d):
                 for positions in itertools.combinations(range(spec.n), m):
                     masked = list(word)
@@ -81,7 +82,7 @@ def test_erasure_plus_substitution_is_caught():
     # One erased position and one flipped kept position cannot complete to
     # any coset member when the distance is 3.
     spec = CodeSpec(2, 5, 3)
-    for word in enumerate_codewords(spec, (0, 0)):
+    for word in _coset(spec, (0, 0), DEFAULT_ENUMERATION_BUDGET):
         for erased in range(spec.n):
             for flipped in range(spec.n):
                 if flipped == erased:

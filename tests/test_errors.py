@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcodes import core
+from vtcodes import core, errors
 from vtcodes.core import (
     _VECTOR_MIN_LENGTH,
+    DEFAULT_ENUMERATION_BUDGET,
     CodeSpec,
     checksum,
-    enumerate_codewords,
     hamming_distance,
     is_codeword,
     parse_word,
@@ -21,13 +21,16 @@ from vtcodes.errors import (
     ErrorVector,
     KeyEquationState,
     UncorrectableError,
+    _error_rows,
     berlekamp_massey,
     compute_error_syndrome,
     decode_errors,
     locate_and_evaluate,
 )
 from vtcodes.modarith import smallest_prime_geq
+from vtcodes.oracle import _coset
 
+from test_erasure import batch_rows
 from test_modarith import eval_poly_mod
 
 
@@ -365,7 +368,7 @@ def test_single_error_exhaustive_small():
     spec = CodeSpec(3, 5, 3)
     offsets = itertools.product(range(spec.sum_modulus), range(spec.power_modulus))
     for offset in offsets:
-        for word in enumerate_codewords(spec, offset):
+        for word in _coset(spec, offset, DEFAULT_ENUMERATION_BUDGET):
             for k in range(spec.n):
                 for bump in (1, 2):
                     received = list(word)
@@ -505,3 +508,95 @@ def test_decoder_matches_the_scan_beyond_the_small_grid(spec, count, at_end, see
     assert got == _decoded_or_none(_scan_decode, received, spec, offset)
     if count <= 1:
         assert got == sent
+
+
+ERROR_ROW_SPECS = [
+    CodeSpec(4, 5, 3),  # n = p at radius 1: phase two has only node n
+    CodeSpec(3, 7, 5),  # n = p: both phases run Berlekamp-Massey
+    CodeSpec(5, 9, 5),  # n < p
+    CodeSpec(7, 11, 5),  # n = p, bumps up to 6
+    CodeSpec(3, 5, 3, power_modulus=2**61 - 1),  # beyond int64: Python-int rows
+]
+
+
+def _raised(word, positions, bumps, q):
+    """``word`` with the symbol at each 1-based position raised by its bump, mod q."""
+    received = list(word)
+    for k, bump in zip(positions, bumps):
+        received[k - 1] = (received[k - 1] + bump) % q
+    return tuple(received)
+
+
+def _random_pattern(rng, spec, weight):
+    positions = sorted(rng.sample(range(1, spec.n + 1), weight))
+    return positions, tuple(rng.randrange(1, spec.q) for _ in positions)
+
+
+@pytest.mark.parametrize(
+    "spec", ERROR_ROW_SPECS, ids=lambda s: f"q{s.q}-n{s.n}-d{s.d}-p{s.power_modulus}"
+)
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32))
+def test_error_rows_match_decode_errors(spec, seed):
+    # Random words under four kinds of offset: their own profile (coset
+    # members), a random one, the profile of the received word (a nonzero
+    # error that leaves a zero syndrome) and that of the word under another
+    # pattern.  For patterns of weight up to one past the radius, the batch
+    # must give the word decode_errors gives, or reject the row as it does.
+    rng = random.Random(seed)
+    words = [tuple(rng.randrange(spec.q) for _ in range(spec.n)) for _ in range(8)]
+    for _ in range(24):
+        positions, bumps = _random_pattern(rng, spec, rng.randint(1, spec.correction_radius + 1))
+        received = [_raised(word, positions, bumps, spec.q) for word in words]
+        offsets = []
+        for i, (word, got) in enumerate(zip(words, received)):
+            if i % 4 == 0:
+                offsets.append(exact_profile(word, spec))
+            elif i % 4 == 1:
+                offsets.append(
+                    (
+                        rng.randrange(spec.sum_modulus),
+                        *(rng.randrange(spec.power_modulus) for _ in range(spec.d - 2)),
+                    )
+                )
+            elif i % 4 == 2:
+                offsets.append(exact_profile(got, spec))
+            else:
+                other = _random_pattern(rng, spec, rng.randint(1, spec.correction_radius))
+                offsets.append(exact_profile(_raised(word, *other, spec.q), spec))
+        symbols, sums, targets = batch_rows(words, offsets, spec)
+        decoded, accepted = _error_rows(symbols, sums, targets, spec, positions, bumps)
+        for got, offset, row, ok in zip(received, offsets, decoded.tolist(), accepted):
+            expected = _decoded_or_none(decode_errors, got, spec, offset)
+            assert (tuple(row) if ok else None) == expected, (got, offset)
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(3, 7, 5), CodeSpec(5, 9, 5)], ids=["n-is-p", "n-below-p"])
+def test_error_rows_refuse_a_zero_magnitude_as_decode_errors_does(monkeypatch, spec):
+    # No locator root Berlekamp-Massey finds has the value 0, so the
+    # nonzero-magnitude checks are tested on candidates given one: a node of
+    # value 0 added wherever the budget leaves room.  Both decoders read the
+    # candidate from errors._candidate, and both must refuse every single
+    # substitution of a coset member.
+    candidate = errors._candidate
+
+    def with_a_zero_node(spec, moments, known, budget):
+        found = candidate(spec, moments, known, budget)
+        if type(found) is str or not any(moments) or len(found[0]) == len(known) + budget:
+            return found
+        nodes, residues, residual = found
+        extra = min(set(range(1, spec.n)) - set(nodes))
+        return [*nodes, extra], (*residues, 0), residual
+
+    monkeypatch.setattr(errors, "_candidate", with_a_zero_node)
+    rng = random.Random(7)
+    words = [tuple(rng.randrange(spec.q) for _ in range(spec.n)) for _ in range(6)]
+    offsets = [exact_profile(word, spec) for word in words]
+    symbols, sums, targets = batch_rows(words, offsets, spec)
+    for k in range(1, spec.n + 1):
+        for bump in range(1, spec.q):
+            _, accepted = _error_rows(symbols, sums, targets, spec, [k], (bump,))
+            assert not accepted.any()
+            for word, offset in zip(words, offsets):
+                received = _raised(word, [k], (bump,), spec.q)
+                assert _decoded_or_none(decode_errors, received, spec, offset) is None

@@ -28,6 +28,15 @@ def test_coset_partition_small():
     ]
 
 
+def test_coset_known_members():
+    # The members of one coset, from the oracle's own loop over the cube.
+    assert oracle._coset(CodeSpec(2, 5, 3), (0, 0), 1 << 5) == [
+        (0, 0, 0, 0, 0),
+        (0, 1, 1, 0, 1),
+        (1, 0, 0, 1, 1),
+    ]
+
+
 def test_coset_partition_budget():
     with pytest.raises(BudgetExceededError):
         coset_partition(CodeSpec(2, 40, 3), budget=1 << 16)
@@ -236,8 +245,14 @@ def test_batch_disagreement_is_reported(monkeypatch):
 def test_substitution_sweep_counts_cases_across_cosets(monkeypatch):
     # A failure in the third sorted coset, (0, 2), reports the cases of the
     # two cosets before it (3 and 2 codewords, 5 substitutions each) and
-    # those of its own first codeword.
-    decode = oracle.decode_errors
+    # those of its own first codeword.  The batch fails every case of the
+    # word (1, 1, 0, 1, 0), and decode_errors, which replays the first of
+    # them, refuses it.
+    rows, decode = oracle._error_rows, oracle.decode_errors
+
+    def fails_one_row(symbols, *rest):
+        decoded, accepted = rows(symbols, *rest)
+        return decoded, accepted & (symbols != (1, 1, 0, 1, 0)).any(axis=1)
 
     def fails_on_one_word(word, spec, offset):
         got = decode(word, spec, offset)
@@ -245,6 +260,7 @@ def test_substitution_sweep_counts_cases_across_cosets(monkeypatch):
             raise UncorrectableError("injected")
         return got
 
+    monkeypatch.setattr(oracle, "_error_rows", fails_one_row)
     monkeypatch.setattr(oracle, "decode_errors", fails_on_one_word)
     report = decode_check_sweep(SPEC_253, "single-error")
     assert report == VerificationReport(
@@ -314,4 +330,120 @@ def test_erasure_reports_do_not_depend_on_the_batch_size(monkeypatch, rows):
     assert exhaustive_decode_check(spec, (0, 0), "erasure") == whole
     assert whole.instances == 46 and not whole.passed
     assert decode_check_sweep(spec, "erasure") == swept
+    assert swept.passed
+
+
+@pytest.mark.parametrize(
+    "spec, offset, codewords, mode, instances, counterexample, detail",
+    [
+        (
+            SPEC_253, (0, 0), [(0, 0, 1, 0, 0)], "single-error", 1,
+            ((0, 0), (0, 0, 1, 0, 0), (0,)),
+            "rejected as uncorrectable: no coset member within 1 substitutions of the received word",
+        ),
+        (
+            SPEC_253, (0, 0), [(1,) * 5], "single-error", 1,
+            ((0, 0), (1,) * 5, (0,), (0, 1, 1, 0, 1)), "decoded to a different word",
+        ),
+        (
+            SPEC_253, (0, 0), [(0,) * 5, (0, 0, 0, 0, 1)], "single-error", 6,
+            ((0, 0), (0, 0, 0, 0, 1), (0,), (1, 0, 0, 1, 1)), "decoded to a different word",
+        ),
+        (
+            CodeSpec(3, 7, 5), (0, 0, 0, 0), [(0,) * 7, (0, 2, 0, 2, 1, 0, 1)], "multi-error", 99,
+            ((0, 0, 0, 0), (0, 2, 0, 2, 1, 0, 1), (0,)),
+            "rejected as uncorrectable: no coset member within 2 substitutions of the received word",
+        ),
+        (
+            CodeSpec(3, 7, 5), (0, 0, 0, 0), [(0, 0, 0, 0, 0, 0, 1)], "multi-error", 1,
+            ((0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1), (0,), (0,) * 7), "decoded to a different word",
+        ),
+        (
+            CodeSpec(2, 6, 5), (0, 0, 0, 0), [(0,) * 6, (0, 1, 0, 0, 0, 1)], "multi-error", 22,
+            ((0, 0, 0, 0), (0, 1, 0, 0, 0, 1), (0,)),
+            "rejected as uncorrectable: no coset member within 2 substitutions of the received word",
+        ),
+    ],
+    ids=["uncorrectable", "other-word", "second-row", "n-is-p", "n-is-p-other-word", "n-below-p"],
+)
+def test_substitution_failure_reports(
+    monkeypatch, spec, offset, codewords, mode, instances, counterexample, detail
+):
+    # Words that are not coset members, enumerated as members: the first
+    # failing case in the order of a case-by-case loop (codewords in the
+    # order given, patterns by weight, then positions, then bumps) is
+    # reported as decode_errors reports it.
+    _enumerates(monkeypatch, codewords)
+    report = exhaustive_decode_check(spec, offset, mode)
+    assert report == VerificationReport(
+        f"decode:{mode}", spec, instances, False, counterexample, detail
+    )
+
+
+def test_error_batch_disagreement_is_reported(monkeypatch):
+    # The replay of a case the batch fails and decode_errors passes names
+    # the disagreement.
+    calls = []
+
+    def fails_the_batch(symbols, sums, offsets, spec, positions, bumps):
+        decoded, accepted = errors._error_rows(symbols, sums, offsets, spec, positions, bumps)
+        calls.append(positions)
+        return decoded, accepted & (len(calls) != 4)
+
+    monkeypatch.setattr(oracle, "_error_rows", fails_the_batch)
+    report = exhaustive_decode_check(SPEC_253, (0, 0), "single-error")
+    assert report == VerificationReport(
+        "decode:single-error", SPEC_253, 4, False, ((0, 0), (0,) * 5, (3,)),
+        "batched error decode disagrees with decode_errors",
+    )
+
+
+def test_one_word_substitution_sample_disagreement_fails_the_sweep(monkeypatch):
+    # Each pattern also runs decode_errors on one row (row 0 for pattern 0):
+    # a fault there fails the sweep, though the batch passes every case.
+    decode = oracle.decode_errors
+
+    def returns_the_received_word(word, spec, offset):
+        return word if word == (1, 0, 0, 0, 0) else decode(word, spec, offset)
+
+    monkeypatch.setattr(oracle, "decode_errors", returns_the_received_word)
+    report = decode_check_sweep(SPEC_253, "single-error")
+    assert report == VerificationReport(
+        "decode:single-error", SPEC_253, 1, False,
+        ((0, 0), (0,) * 5, (0,), (1, 0, 0, 0, 0)), "decoded to a different word",
+    )
+
+
+def test_one_word_substitution_sample_refusal_fails_the_sweep(monkeypatch):
+    # Pattern 2, position 3 raised, samples row 2, (1, 0, 0, 1, 1), through
+    # decode_errors, which refuses it here while the batch accepts every
+    # case; the replay reports the refusal.
+    decode = oracle.decode_errors
+
+    def refuses_one_word(word, spec, offset):
+        if word == (1, 0, 1, 1, 1):
+            raise UncorrectableError("injected")
+        return decode(word, spec, offset)
+
+    monkeypatch.setattr(oracle, "decode_errors", refuses_one_word)
+    assert decode_check_sweep(SPEC_253, "single-error") == VerificationReport(
+        "decode:single-error", SPEC_253, 2 * 5 + 2 + 1, False,
+        ((0, 0), (1, 0, 0, 1, 1), (2,)), "rejected as uncorrectable: injected",
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("mode", ["single-error", "multi-error"])
+def test_substitution_reports_do_not_depend_on_the_batch_size(monkeypatch, mode, rows):
+    # As for erasures: a failure in a later batch keeps its place in the
+    # case order, and a passing sweep counts every case once.
+    spec = CodeSpec(2, 6, 5)
+    members = oracle._coset(spec, (0, 0, 0, 0), 1 << 6)
+    _enumerates(monkeypatch, members + [(0, 1, 0, 0, 0, 1)])
+    whole = exhaustive_decode_check(spec, (0, 0, 0, 0), mode)
+    swept = decode_check_sweep(spec, mode)
+    monkeypatch.setattr(oracle, "_BATCH_ROWS", rows)
+    assert exhaustive_decode_check(spec, (0, 0, 0, 0), mode) == whole
+    assert not whole.passed and whole.instances > 1
+    assert decode_check_sweep(spec, mode) == swept
     assert swept.passed

@@ -46,8 +46,8 @@ MUTANTS = (
         "a",
         "phase two without node n",
         "src/vtcodes/errors.py",
-        "        known = [spec.n]\n",
-        "        known = []\n",
+        "        return [([], radius), ([spec.n], radius - 1)]\n",
+        "        return [([], radius), ([], radius - 1)]\n",
     ),
     Mutant(
         "b",
@@ -129,17 +129,17 @@ MUTANTS = (
     ),
     Mutant(
         "m",
-        "the first failing erasure case picked mask-first",
+        "the first failing case of a batch picked pattern-first",
         "src/vtcodes/oracle.py",
-        "case = int(failed.argmax()) * len(masks) + j\n",
+        "case = int(failed.argmax()) * len(patterns) + j\n",
         "case = j * len(batch) + int(failed.argmax())\n",
     ),
     Mutant(
         "n",
-        "the substitution check restarts its case count per coset",
+        "a later batch numbers its cases from its own first row",
         "src/vtcodes/oracle.py",
-        "    instances = 0\n    for offset, codewords in groups:\n",
-        "    for offset, codewords in groups:\n        instances = 0\n",
+        "        case += top * len(patterns)\n",
+        "",
     ),
     Mutant(
         "o",
@@ -154,6 +154,20 @@ MUTANTS = (
         "src/vtcodes/core.py",
         "        out[k - 1] = int(symbols[k - 1])\n",
         "        pass\n",
+    ),
+    Mutant(
+        "q",
+        "the batched error decode without its nonzero-magnitude check",
+        "src/vtcodes/errors.py",
+        "            if type(candidate) is str or not all(candidate[1]) or any(candidate[2]):\n",
+        "            if type(candidate) is str or any(candidate[2]):\n",
+    ),
+    Mutant(
+        "r",
+        "the batched error decode skips phase two",
+        "src/vtcodes/errors.py",
+        "    for known, budget in _phases(spec):\n        for row, run in zip(",
+        "    for known, budget in _phases(spec)[:1]:\n        for row, run in zip(",
     ),
 )
 
